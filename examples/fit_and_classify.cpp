@@ -9,6 +9,7 @@
 //   ./fit_and_classify --train_docs=1000 --new_docs=8
 
 #include <cstdio>
+#include <vector>
 
 #include "common/flags.h"
 #include "io/file_io.h"
@@ -98,10 +99,20 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(size.value_or(0)));
 
   // --- classify the held-out documents ------------------------------------
+  // Centroid norms are computed once; every classification reuses them.
+  std::vector<double> centroid_sq;
+  for (const auto& c : clusters->centroids) {
+    double sq = 0.0;
+    for (float x : c) sq += static_cast<double>(x) * x;
+    centroid_sq.push_back(sq);
+  }
   for (const text::Document& doc : fresh.docs) {
     containers::SparseVector v = loaded->Score(doc.body);
-    uint32_t cluster = ops::NearestCentroid(v, clusters->centroids);
-    std::printf("  %-10s -> cluster %u  (%zu known terms of ~%zu tokens)\n",
+    double best_d = 0.0;
+    int cluster = ops::NearestCentroid(v, v.SquaredL2Norm(),
+                                       clusters->centroids, centroid_sq,
+                                       &best_d);
+    std::printf("  %-10s -> cluster %d  (%zu known terms of ~%zu tokens)\n",
                 doc.name.c_str(), cluster, v.nnz(),
                 text::CountTokens(doc.body, {}));
   }

@@ -27,8 +27,10 @@
 ///   * kOpenHash        — flat open addressing (the modern-engine choice)
 ///
 /// All expose: FindOrInsert / Find / size / Clear / Reserve / ForEach /
-/// ApproxMemoryBytes / kSortedIteration, keyed by std::string with
-/// heterogeneous std::string_view lookup.
+/// ApproxMemoryBytes / kSortedIteration. String-keyed tables (the default)
+/// take heterogeneous std::string_view lookups; integer-keyed tables (the
+/// per-document term tables, keyed by interned term id) take the key
+/// itself.
 
 namespace hpa::containers {
 
@@ -53,23 +55,32 @@ inline constexpr DictBackend kAllDictBackends[] = {
     DictBackend::kChainedHash, DictBackend::kOpenHash,
 };
 
-/// Uniform wrapper over std::map<std::string, V>.
-template <typename V>
+/// Lookup argument for a table keyed by `Key`: std::string_view for string
+/// keys (no temporary strings on lookup), the key itself otherwise.
+template <typename Key>
+using DictKeyArg =
+    std::conditional_t<std::is_same_v<Key, std::string>, std::string_view,
+                       Key>;
+
+/// Uniform wrapper over std::map<Key, V>.
+template <typename V, typename Key = std::string>
 class StdMapDict {
  public:
+  using KeyArg = DictKeyArg<Key>;
+
   explicit StdMapDict(size_t /*capacity_hint*/ = 0) {}
 
-  V& FindOrInsert(std::string_view key) {
+  V& FindOrInsert(KeyArg key) {
     auto it = map_.find(key);
     if (it != map_.end()) return it->second;
-    return map_.emplace(std::string(key), V{}).first->second;
+    return map_.emplace(Key(key), V{}).first->second;
   }
-  const V* Find(std::string_view key) const {
+  const V* Find(KeyArg key) const {
     auto it = map_.find(key);
     return it == map_.end() ? nullptr : &it->second;
   }
-  bool Contains(std::string_view key) const { return Find(key) != nullptr; }
-  bool Erase(std::string_view key) {
+  bool Contains(KeyArg key) const { return Find(key) != nullptr; }
+  bool Erase(KeyArg key) {
     auto it = map_.find(key);
     if (it == map_.end()) return false;
     map_.erase(it);
@@ -89,7 +100,7 @@ class StdMapDict {
 
   uint64_t ApproxMemoryBytes() const {
     // libstdc++ _Rb_tree_node: 3 pointers + color + payload, rounded.
-    uint64_t per_node = 40 + sizeof(std::pair<std::string, V>);
+    uint64_t per_node = 40 + sizeof(std::pair<Key, V>);
     uint64_t bytes = 0;
     for (const auto& [k, v] : map_) {
       bytes += per_node + internal_hash::OwnedHeapBytes(k) +
@@ -99,34 +110,36 @@ class StdMapDict {
   }
 
  private:
-  std::map<std::string, V, std::less<>> map_;
+  std::map<Key, V, std::less<>> map_;
 };
 
-/// Uniform wrapper over std::unordered_map<std::string, V>.
+/// Uniform wrapper over std::unordered_map<Key, V>.
 ///
 /// `capacity_hint` pre-sizes the bucket array — the paper pre-sizes its
 /// per-document u-map tables "to hold 4K items to minimize resizing
 /// overhead", which is also what blows up its memory footprint.
-template <typename V>
+template <typename V, typename Key = std::string>
 class StdUnorderedDict {
  public:
+  using KeyArg = DictKeyArg<Key>;
+
   explicit StdUnorderedDict(size_t capacity_hint = 0) {
     // reserve() sizes for `capacity_hint` *elements* (accounting for
     // max_load_factor); rehash() would interpret it as a bucket count.
     if (capacity_hint > 0) map_.reserve(capacity_hint);
   }
 
-  V& FindOrInsert(std::string_view key) {
+  V& FindOrInsert(KeyArg key) {
     auto it = map_.find(key);
     if (it != map_.end()) return it->second;
-    return map_.emplace(std::string(key), V{}).first->second;
+    return map_.emplace(Key(key), V{}).first->second;
   }
-  const V* Find(std::string_view key) const {
+  const V* Find(KeyArg key) const {
     auto it = map_.find(key);
     return it == map_.end() ? nullptr : &it->second;
   }
-  bool Contains(std::string_view key) const { return Find(key) != nullptr; }
-  bool Erase(std::string_view key) {
+  bool Contains(KeyArg key) const { return Find(key) != nullptr; }
+  bool Erase(KeyArg key) {
     auto it = map_.find(key);
     if (it == map_.end()) return false;
     map_.erase(it);
@@ -147,7 +160,7 @@ class StdUnorderedDict {
   uint64_t ApproxMemoryBytes() const {
     // Bucket array plus one _Hash_node (next ptr + hash cache + payload).
     uint64_t bytes = map_.bucket_count() * sizeof(void*);
-    uint64_t per_node = 16 + sizeof(std::pair<std::string, V>);
+    uint64_t per_node = 16 + sizeof(std::pair<Key, V>);
     for (const auto& [k, v] : map_) {
       bytes += per_node + internal_hash::OwnedHeapBytes(k) +
                internal_hash::OwnedHeapBytes(v);
@@ -156,38 +169,37 @@ class StdUnorderedDict {
   }
 
  private:
-  struct TransparentHash {
+  // DefaultHash<std::string> is transparent over std::string_view.
+  struct TransparentHash : DefaultHash<Key> {
     using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return static_cast<size_t>(HashBytes(s.data(), s.size()));
-    }
   };
-  std::unordered_map<std::string, V, TransparentHash, std::equal_to<>> map_;
+  std::unordered_map<Key, V, TransparentHash, std::equal_to<>> map_;
 };
 
-/// Maps a DictBackend tag to the wrapper type for value type `V`.
-template <DictBackend B, typename V>
+/// Maps a DictBackend tag to the wrapper type for value type `V` and key
+/// type `Key` (std::string unless the table is keyed by interned ids).
+template <DictBackend B, typename V, typename Key = std::string>
 struct DictFor;
 
-template <typename V>
-struct DictFor<DictBackend::kStdMap, V> {
-  using type = StdMapDict<V>;
+template <typename V, typename Key>
+struct DictFor<DictBackend::kStdMap, V, Key> {
+  using type = StdMapDict<V, Key>;
 };
-template <typename V>
-struct DictFor<DictBackend::kStdUnorderedMap, V> {
-  using type = StdUnorderedDict<V>;
+template <typename V, typename Key>
+struct DictFor<DictBackend::kStdUnorderedMap, V, Key> {
+  using type = StdUnorderedDict<V, Key>;
 };
-template <typename V>
-struct DictFor<DictBackend::kRbTree, V> {
-  using type = RbTreeMap<std::string, V>;
+template <typename V, typename Key>
+struct DictFor<DictBackend::kRbTree, V, Key> {
+  using type = RbTreeMap<Key, V>;
 };
-template <typename V>
-struct DictFor<DictBackend::kChainedHash, V> {
-  using type = ChainedHashMap<std::string, V>;
+template <typename V, typename Key>
+struct DictFor<DictBackend::kChainedHash, V, Key> {
+  using type = ChainedHashMap<Key, V>;
 };
-template <typename V>
-struct DictFor<DictBackend::kOpenHash, V> {
-  using type = OpenHashMap<std::string, V>;
+template <typename V, typename Key>
+struct DictFor<DictBackend::kOpenHash, V, Key> {
+  using type = OpenHashMap<Key, V>;
 };
 
 /// Hash-partitioned composite of backend `B`: the output type of the

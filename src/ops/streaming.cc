@@ -155,27 +155,16 @@ StatusOr<StreamingTfidfModel> StreamingTfidfFitT(
   model.options = options;
   model.window_bytes = sopts.window_bytes;
   model.prefetch = sopts.prefetch;
-  model.doc_names.resize(n);
-  model.doc_failed.assign(n, 0);
 
-  // The word-count result shell: doc_tfs stays a vector of empty tables
-  // (only its size — num_documents() — and the global df table are used),
-  // which is the whole point of the streaming pass.
-  WordCountResult<B> wc;
-  wc.doc_tfs.resize(n);
-  wc.doc_names.resize(n);
-
-  std::vector<Status> doc_errors(n);
-  const bool skip_mode = ctx.fault_policy == FaultPolicy::kRetryThenSkip;
-
-  // Persistent across windows: df increments are order-insensitive
-  // integers, so accumulating them window-by-window into the same
-  // per-worker partials yields exactly the table one whole-corpus pass
+  // The word-count result without per-document tables: only the global df
+  // table (and num_documents()) is used, which is the whole point of the
+  // streaming pass. The per-worker counters persist across windows: df
+  // increments are order-insensitive integers, so accumulating them
+  // window-by-window yields exactly the table one whole-corpus pass
   // builds, regardless of which window (or worker) saw each document.
-  parallel::WorkerLocal<typename WordCountResult<B>::DfDict> worker_df(
-      *ctx.executor);
-  parallel::WorkerLocal<uint64_t> worker_tokens(*ctx.executor);
-  parallel::WorkerLocal<QuarantineList> worker_quarantine(*ctx.executor);
+  WordCountResult<B> wc;
+  wc_internal::CountingRun<B> run(ctx, wc, n, /*keep_tables=*/false,
+                                  corpus.disk());
 
   io::WindowPrefetcher windows(&corpus, sopts.window_bytes, sopts.prefetch);
 
@@ -196,60 +185,21 @@ StatusOr<StreamingTfidfModel> StreamingTfidfFitT(
       ctx.executor->ParallelFor(
           data.begin_doc, data.end_doc, 0, hint,
           [&](int worker, size_t begin, size_t end) {
-            auto& df = worker_df.Get(worker);
-            uint64_t& tokens = worker_tokens.Get(worker);
-            typename WordCountResult<B>::TfDict tf;
-            std::string stem_buf;  // recycled across tokens/documents
-            for (size_t i = begin; i < end; ++i) {
-              if (ctx.executor->stop_requested()) return;
-              const size_t local = i - data.begin_doc;
-              const Status& st = data.statuses[local];
-              if (!st.ok()) {
-                if (skip_mode) {
-                  int attempts = 1;
-                  if (corpus.disk() != nullptr &&
-                      corpus.disk()->retry_policy().IsRetryable(st)) {
-                    const RetryPolicy& p = corpus.disk()->retry_policy();
-                    attempts = p.max_attempts < 1 ? 1 : p.max_attempts;
-                  }
-                  QuarantineList& q = worker_quarantine.Get(worker);
-                  q.retries += static_cast<uint64_t>(attempts - 1);
-                  q.Add(corpus.name(i), st, attempts);
-                  model.doc_names[i] = corpus.name(i);
-                  model.doc_failed[i] = 1;
-                } else {
-                  doc_errors[i] = st;
-                  ctx.executor->RequestStop();
-                }
-                continue;
-              }
-              model.doc_names[i] = corpus.name(i);
-              tf.Clear();
-              if (ctx.per_doc_dict_presize > 0) {
-                tf.Reserve(ctx.per_doc_dict_presize);
-              }
-              text::ForEachToken(data.bodies[local], ctx.tokenizer,
-                                 [&](std::string_view token) {
-                                   if (ctx.stem_tokens) {
-                                     stem_buf.assign(token);
-                                     token = text::PorterStem(stem_buf);
-                                   }
-                                   tf.FindOrInsert(token) += 1;
-                                   ++tokens;
-                                 });
-              tf.ForEach([&](const std::string& word, uint32_t) {
-                df.FindOrInsert(std::string_view(word)).df += 1;
-              });
-            }
+            run.CountRange(
+                worker, begin, end,
+                [&](size_t i) -> const std::string& { return corpus.name(i); },
+                [&](size_t i, std::string&) -> StatusOr<std::string_view> {
+                  const size_t local = i - data.begin_doc;
+                  if (!data.statuses[local].ok()) return data.statuses[local];
+                  return std::string_view(data.bodies[local]);
+                });
           });
       // Fail fast between windows: the region above cancelled its own
       // remaining chunks; no point fetching further windows either.
-      for (size_t i = data.begin_doc; i < data.end_doc; ++i) {
-        if (!doc_errors[i].ok()) {
-          stream_status =
-              doc_errors[i].WithContext("streaming word count");
-          return;
-        }
+      Status error = run.FirstError(data.begin_doc, data.end_doc);
+      if (!error.ok()) {
+        stream_status = error.WithContext("streaming word count");
+        return;
       }
     }
   });
@@ -258,8 +208,12 @@ StatusOr<StreamingTfidfModel> StreamingTfidfFitT(
   AccumulateStats(stats, windows.stats());
   if (!stream_status.ok()) return stream_status;
 
-  wc_internal::MergeDocFrequencies<B>(ctx, worker_df, worker_tokens, wc);
+  run.Finish();
   model.total_tokens = wc.total_tokens;
+  model.doc_failed.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    model.doc_failed[i] = wc.doc_vocab[i] == kNoVocabulary ? 1 : 0;
+  }
 
   // Same sorted global term-id assignment as the in-memory transform —
   // shard-major merge over the same sharded table, so terms/ids/dfs are
@@ -270,12 +224,8 @@ StatusOr<StreamingTfidfModel> StreamingTfidfFitT(
         tfidf_internal::AssignTermIds(ctx, wc, options, &model.term_dfs);
   });
   model.dict_bytes = wc.doc_freq.ApproxMemoryBytes();
-
-  for (size_t qw = 0; qw < worker_quarantine.size(); ++qw) {
-    model.quarantine.MergeFrom(
-        std::move(worker_quarantine.Get(static_cast<int>(qw))));
-  }
-  model.quarantine.SortById();
+  model.doc_names = std::move(wc.doc_names);
+  model.quarantine = std::move(wc.quarantine);
   return model;
 }
 

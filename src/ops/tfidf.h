@@ -249,27 +249,73 @@ std::vector<std::string> AssignTermIds(ExecContext& ctx,
   return terms;
 }
 
+/// What scoring needs once term ids are assigned: per worker vocabulary,
+/// local term id -> term id (kPrunedTermId for pruned terms), and the idf
+/// of every kept term, computed once per term id rather than once per
+/// (document, term).
+struct ScoringIndex {
+  std::vector<std::vector<uint32_t>> term_ids;  // [vocabulary][local id]
+  std::vector<double> idf;                      // [term id]
+};
+
+/// Assigns term ids (AssignTermIds; `terms` receives the sorted kept
+/// vocabulary, `dfs` the df per term id) and resolves them for scoring:
+/// one global-table probe per distinct word per worker vocabulary, in
+/// parallel over vocabularies.
+template <containers::DictBackend B>
+ScoringIndex PrepareScoring(ExecContext& ctx, WordCountResult<B>& wc,
+                            const TfidfOptions& options,
+                            std::vector<std::string>& terms,
+                            std::vector<uint32_t>& dfs) {
+  terms = AssignTermIds(ctx, wc, options, &dfs);
+  ScoringIndex index;
+  index.term_ids.resize(wc.vocabs.size());
+  index.idf.resize(dfs.size());
+  const double n_docs = static_cast<double>(wc.num_documents());
+  parallel::WorkHint hint;
+  hint.label = "term-ids-resolve";
+  ctx.executor->ParallelFor(
+      0, wc.vocabs.size(), 1, hint, [&](int, size_t b, size_t e) {
+        for (size_t v = b; v < e; ++v) {
+          const std::vector<std::string>& words = wc.vocabs[v].words;
+          std::vector<uint32_t>& ids = index.term_ids[v];
+          ids.resize(words.size());
+          for (size_t local = 0; local < words.size(); ++local) {
+            // Every worker word is in the global table by construction.
+            ids[local] = wc.doc_freq.Find(std::string_view(words[local]))->id;
+          }
+        }
+      });
+  ctx.executor->RunSerial(parallel::WorkHint{0, "idf"}, [&] {
+    for (size_t id = 0; id < dfs.size(); ++id) {
+      index.idf[id] = std::log(n_docs / static_cast<double>(dfs[id]));
+    }
+  });
+  return index;
+}
+
 /// Builds the sparse score row for one document into `row`, using
 /// `scratch` for unsorted (id, score) pairs. Both are recycled across
-/// calls (the paper's "no new objects" discipline).
+/// calls (the paper's "no new objects" discipline). Scoring is by id
+/// alone: the document's table maps local ids through `index`.
 template <containers::DictBackend B>
-void BuildScoreRow(const WordCountResult<B>& wc, size_t doc,
-                   const TfidfOptions& options,
+void BuildScoreRow(const WordCountResult<B>& wc, const ScoringIndex& index,
+                   size_t doc, const TfidfOptions& options,
                    std::vector<std::pair<uint32_t, float>>& scratch,
                    containers::SparseVector& row) {
   scratch.clear();
   row.Clear();
-  const double n_docs = static_cast<double>(wc.num_documents());
-  wc.doc_tfs[doc].ForEach([&](const std::string& word, uint32_t tf) {
-    const TermStat* stat = wc.doc_freq.Find(std::string_view(word));
-    // Every word in a document is in the global table by construction.
-    if (stat->id == kPrunedTermId) return;
-    double weight = options.sublinear_tf
-                        ? 1.0 + std::log(static_cast<double>(tf))
-                        : static_cast<double>(tf);
-    double idf = std::log(n_docs / static_cast<double>(stat->df));
-    scratch.emplace_back(stat->id, static_cast<float>(weight * idf));
-  });
+  if (wc.doc_vocab[doc] != kNoVocabulary) {
+    const std::vector<uint32_t>& ids = index.term_ids[wc.doc_vocab[doc]];
+    wc.doc_tfs[doc].ForEach([&](uint32_t local, uint32_t tf) {
+      const uint32_t id = ids[local];
+      if (id == kPrunedTermId) return;
+      double weight = options.sublinear_tf
+                          ? 1.0 + std::log(static_cast<double>(tf))
+                          : static_cast<double>(tf);
+      scratch.emplace_back(id, static_cast<float>(weight * index.idf[id]));
+    });
+  }
   std::sort(scratch.begin(), scratch.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   row.Reserve(scratch.size());
@@ -293,8 +339,8 @@ TfidfResult TfidfTransformT(ExecContext& ctx, WordCountResult<B> wc,
     // Term-id assignment: sharded-parallel vocabulary sweeps around one
     // serial sort (or fully serial with ctx.serial_merge); it issues its
     // own executor regions, so the clock charges it either way.
-    result.terms =
-        tfidf_internal::AssignTermIds(ctx, wc, options, &result.term_dfs);
+    const tfidf_internal::ScoringIndex index = tfidf_internal::PrepareScoring(
+        ctx, wc, options, result.terms, result.term_dfs);
     ctx.executor->RunSerial(parallel::WorkHint{0, "transform-setup"}, [&] {
       result.matrix.num_cols = static_cast<uint32_t>(result.terms.size());
       result.matrix.rows.resize(wc.num_documents());
@@ -315,7 +361,7 @@ TfidfResult TfidfTransformT(ExecContext& ctx, WordCountResult<B> wc,
         [&](int worker, size_t begin, size_t end) {
           auto& pairs = scratch.Get(worker);
           for (size_t i = begin; i < end; ++i) {
-            tfidf_internal::BuildScoreRow(wc, i, options, pairs,
+            tfidf_internal::BuildScoreRow(wc, index, i, options, pairs,
                                           result.matrix.rows[i]);
           }
         });
@@ -359,8 +405,10 @@ Status TfidfToArffT(ExecContext& ctx, const io::PackedCorpusReader& corpus,
       ctx.scratch_disk->options().channels > 1) {
     Status status;
     ctx.TimePhase("tfidf-output", [&] {
-      std::vector<std::string> terms =
-          tfidf_internal::AssignTermIds(ctx, wc, options);
+      std::vector<std::string> terms;
+      std::vector<uint32_t> dfs;
+      const tfidf_internal::ScoringIndex index =
+          tfidf_internal::PrepareScoring(ctx, wc, options, terms, dfs);
       // Rows are scored *inside* each shard's write loop (per-worker
       // scratch recycled row to row), so the scoring region streams
       // straight to the device and the full SparseMatrix never exists —
@@ -379,7 +427,8 @@ Status TfidfToArffT(ExecContext& ctx, const io::PackedCorpusReader& corpus,
           wc.num_documents(), ctx.scratch_disk->options().channels,
           [&](int worker, size_t i) -> const containers::SparseVector& {
             RowScratch& s = scratch.Get(worker);
-            tfidf_internal::BuildScoreRow(wc, i, options, s.pairs, s.row);
+            tfidf_internal::BuildScoreRow(wc, index, i, options, s.pairs,
+                                          s.row);
             return s.row;
           },
           hint);
@@ -391,8 +440,10 @@ Status TfidfToArffT(ExecContext& ctx, const io::PackedCorpusReader& corpus,
   ctx.TimePhase("tfidf-output", [&] {
     // Term-id assignment runs its own (possibly parallel) regions; the
     // ARFF streaming below stays one serial region, as the format demands.
-    std::vector<std::string> terms =
-        tfidf_internal::AssignTermIds(ctx, wc, options);
+    std::vector<std::string> terms;
+    std::vector<uint32_t> dfs;
+    const tfidf_internal::ScoringIndex index =
+        tfidf_internal::PrepareScoring(ctx, wc, options, terms, dfs);
     ctx.executor->RunSerial(parallel::WorkHint{0, "tfidf-output"}, [&] {
       status = [&]() -> Status {
         HPA_ASSIGN_OR_RETURN(auto writer,
@@ -415,7 +466,7 @@ Status TfidfToArffT(ExecContext& ctx, const io::PackedCorpusReader& corpus,
         std::vector<std::pair<uint32_t, float>> scratch;
         containers::SparseVector row;
         for (size_t i = 0; i < wc.num_documents(); ++i) {
-          tfidf_internal::BuildScoreRow(wc, i, options, scratch, row);
+          tfidf_internal::BuildScoreRow(wc, index, i, options, scratch, row);
           chunk += '{';
           for (size_t k = 0; k < row.nnz(); ++k) {
             if (k > 0) chunk += ',';

@@ -120,21 +120,4 @@ StatusOr<TfidfVectorizer> TfidfVectorizer::Load(io::SimDisk* disk,
   return model;
 }
 
-uint32_t NearestCentroid(const containers::SparseVector& v,
-                         const std::vector<std::vector<float>>& centroids) {
-  double v_sq = v.SquaredL2Norm();
-  uint32_t best = 0;
-  double best_d = 0.0;
-  for (size_t c = 0; c < centroids.size(); ++c) {
-    double c_sq = 0.0;
-    for (float x : centroids[c]) c_sq += static_cast<double>(x) * x;
-    double d = containers::SquaredDistance(v, v_sq, centroids[c], c_sq);
-    if (c == 0 || d < best_d) {
-      best_d = d;
-      best = static_cast<uint32_t>(c);
-    }
-  }
-  return best;
-}
-
 }  // namespace hpa::ops

@@ -66,11 +66,6 @@ class TfidfVectorizer {
   containers::OpenHashMap<std::string, uint32_t> index_;  // term -> id
 };
 
-/// Returns the index of the centroid nearest to `v` (ties to the lowest
-/// index). `centroids` must be non-empty.
-uint32_t NearestCentroid(const containers::SparseVector& v,
-                         const std::vector<std::vector<float>>& centroids);
-
 }  // namespace hpa::ops
 
 #endif  // HPA_OPS_TFIDF_VECTORIZER_H_

@@ -1,6 +1,7 @@
 #include "ops/tfidf_vectorizer.h"
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -121,8 +122,17 @@ TEST_F(TfidfVectorizerTest, NearestCentroidClassifiesNewDocuments) {
   TfidfVectorizer vectorizer(*fitted_);
   // A new apple-heavy document should land with the apple training docs.
   containers::SparseVector fresh = vectorizer.Score("apple apple apple");
-  uint32_t cluster = NearestCentroid(fresh, clusters->centroids);
-  EXPECT_EQ(cluster, clusters->assignment[2]);  // d2 = "apple"
+  std::vector<double> centroid_sq;
+  for (const auto& c : clusters->centroids) {
+    double sq = 0.0;
+    for (float x : c) sq += static_cast<double>(x) * x;
+    centroid_sq.push_back(sq);
+  }
+  double best_d = 0.0;
+  int cluster = NearestCentroid(fresh, fresh.SquaredL2Norm(),
+                                clusters->centroids, centroid_sq, &best_d);
+  EXPECT_EQ(static_cast<uint32_t>(cluster),
+            clusters->assignment[2]);  // d2 = "apple"
 }
 
 TEST_F(TfidfVectorizerTest, SublinearOptionAppliesAtScoringTime) {
