@@ -4,7 +4,7 @@
 // Fits TF/IDF + K-means on a training corpus, persists the vectorizer
 // model to (simulated) storage, then loads it back and assigns *new*,
 // never-seen documents to the trained clusters with
-// TfidfVectorizer::Score + NearestCentroid.
+// TfidfVectorizer::Score + CentroidPanel::Nearest.
 //
 //   ./fit_and_classify --train_docs=1000 --new_docs=8
 
@@ -99,19 +99,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(size.value_or(0)));
 
   // --- classify the held-out documents ------------------------------------
-  // Centroid norms are computed once; every classification reuses them.
+  // Centroid norms are computed once and the centroids laid out
+  // centroid-major once; every classification is one panel scan.
   std::vector<double> centroid_sq;
   for (const auto& c : clusters->centroids) {
     double sq = 0.0;
     for (float x : c) sq += static_cast<double>(x) * x;
     centroid_sq.push_back(sq);
   }
+  const ops::CentroidPanel panel(clusters->centroids, std::move(centroid_sq));
   for (const text::Document& doc : fresh.docs) {
     containers::SparseVector v = loaded->Score(doc.body);
     double best_d = 0.0;
-    int cluster = ops::NearestCentroid(v, v.SquaredL2Norm(),
-                                       clusters->centroids, centroid_sq,
-                                       &best_d);
+    int cluster = panel.Nearest(v, v.SquaredL2Norm(), &best_d);
     std::printf("  %-10s -> cluster %d  (%zu known terms of ~%zu tokens)\n",
                 doc.name.c_str(), cluster, v.nnz(),
                 text::CountTokens(doc.body, {}));

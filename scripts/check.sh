@@ -10,7 +10,9 @@
 #   cmake -B build -S . && cmake --build build -j && ctest
 # The sanitizer passes rebuild the tree with -fsanitize and run just the
 # labelled fault/lifecycle suites (`ctest -L "chaos|route"`), which is
-# where the breaker, hot-swap, GC, router, and rollout races would hide.
+# where the breaker, hot-swap, GC, router, and rollout races would hide,
+# plus the kernel suites (`kernel`: the K-means panel scan and the ARFF
+# row parser).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,10 +31,10 @@ if [[ "$FAST" == 1 ]]; then
 fi
 
 for preset in asan tsan; do
-  echo "== $preset: sanitized build + ctest -L 'chaos|route' =="
+  echo "== $preset: sanitized build + ctest -L 'chaos|route|kernel' =="
   cmake --preset "$preset" >/dev/null
   cmake --build --preset "$preset" -j "$JOBS"
-  ctest --preset "$preset" -L "chaos|route" -j "$JOBS"
+  ctest --preset "$preset" -L "chaos|route|kernel" -j "$JOBS"
 done
 
 echo "== check.sh: all gates green =="

@@ -1,9 +1,13 @@
 #include "io/arff.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 #include "common/string_util.h"
 
@@ -23,6 +27,40 @@ bool KeywordIs(std::string_view line, std::string_view keyword) {
   return true;
 }
 
+// std::from_chars is the fast path of the two field parsers below. Its
+// grammar is strtod's/strtoll's minus a leading '+' and hex, and it rounds
+// the same, so any field it reads completely to a normal finite number
+// gets the bits strtod gives it. Everything else — a '+' sign, hex, inf
+// and nan, zeros, subnormals, out-of-range values, trailing garbage — goes
+// to the strtod/strtoll parsers, which decide exactly as they always have
+// (accepting "+3" and "0x1p-2", rejecting a subnormal or an overflow).
+
+/// Parses an attribute index (`token` may carry surrounding whitespace).
+bool ParseIndex(std::string_view token, int64_t* out) {
+  token = hpa::Trim(token);
+  int64_t v = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec == std::errc() && ptr == end && !token.empty()) {
+    *out = v;
+    return true;
+  }
+  return hpa::ParseInt64(token, out);
+}
+
+/// Parses an attribute value (`token` may carry surrounding whitespace).
+bool ParseValue(std::string_view token, double* out) {
+  token = hpa::Trim(token);
+  double v = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec == std::errc() && ptr == end && std::isnormal(v)) {
+    *out = v;
+    return true;
+  }
+  return hpa::ParseDouble(token, out);
+}
+
 }  // namespace
 
 namespace arff_internal {
@@ -37,19 +75,27 @@ Status ParseSparseRow(std::string_view line, size_t line_number,
   if (line.size() < 2 || line.front() != '{' || line.back() != '}') {
     return fail("sparse row must be wrapped in {}");
   }
-  std::string_view body = line.substr(1, line.size() - 2);
-  body = hpa::Trim(body);
+  const std::string_view body = hpa::Trim(line.substr(1, line.size() - 2));
   if (body.empty()) return Status::OK();  // all-zero row
 
-  for (std::string_view field : hpa::Split(body, ',')) {
-    field = hpa::Trim(field);
-    size_t space = field.find(' ');
+  row->Reserve(static_cast<size_t>(std::count(body.begin(), body.end(), ',')) +
+               1);
+  // Fields are scanned in place: no per-field string or split vector.
+  size_t start = 0;
+  while (start <= body.size()) {
+    size_t comma = body.find(',', start);
+    if (comma == std::string_view::npos) comma = body.size();
+    const std::string_view field =
+        hpa::Trim(body.substr(start, comma - start));
+    start = comma + 1;
+
+    const size_t space = field.find(' ');
     if (space == std::string_view::npos) {
       return fail("expected '<idx> <value>', got '" + std::string(field) +
                   "'");
     }
     int64_t idx = 0;
-    if (!hpa::ParseInt64(field.substr(0, space), &idx) || idx < 0) {
+    if (!ParseIndex(field.substr(0, space), &idx) || idx < 0) {
       return fail("bad attribute index in '" + std::string(field) + "'");
     }
     if (static_cast<uint64_t>(idx) >= num_cols) {
@@ -58,7 +104,7 @@ Status ParseSparseRow(std::string_view line, size_t line_number,
                   " attributes)");
     }
     double value = 0.0;
-    if (!hpa::ParseDouble(field.substr(space + 1), &value)) {
+    if (!ParseValue(field.substr(space + 1), &value)) {
       return fail("bad value in '" + std::string(field) + "'");
     }
     if (!row->empty() && row->ids().back() >= static_cast<uint32_t>(idx)) {

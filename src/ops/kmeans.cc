@@ -4,62 +4,18 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "common/random.h"
 #include "common/string_util.h"
 #include "io/csv.h"
+#include "ops/kmeans_internal.h"
 #include "parallel/parallel_ops.h"
 
 namespace hpa::ops {
 
-namespace {
+namespace kmeans_internal {
 
-/// Worker-local accumulation state: per-cluster dense sums and counts.
-/// Allocated once and recycled across iterations when recycling is on.
-struct Accumulators {
-  // sums[c] has vocabulary dimension; doubles so merge order effects stay
-  // far below assignment-decision thresholds. The inertia sum is NOT here:
-  // which worker runs which chunk depends on scheduling (steals, measured
-  // chunk times), so worker-keyed doubles are not reproducible bit-for-bit
-  // across runs — inertia accumulates per *chunk* instead (the chunk grid
-  // is a pure function of n and the worker count) and reduces in chunk
-  // order, which is what lets the pruning ablation demand bit-identical
-  // inertia histories. The integer fields are order-insensitive.
-  std::vector<std::vector<double>> sums;
-  std::vector<uint64_t> counts;
-  uint64_t changed = 0;
-  // Pruning telemetry, merged like the other fields: kernels actually
-  // computed vs skipped by the bound test this iteration.
-  uint64_t kernels = 0;
-  uint64_t skipped = 0;
-
-  void Init(int k, uint32_t dim) {
-    sums.assign(static_cast<size_t>(k), std::vector<double>(dim, 0.0));
-    counts.assign(static_cast<size_t>(k), 0);
-    changed = 0;
-    kernels = 0;
-    skipped = 0;
-  }
-
-  void Reset() {
-    for (auto& s : sums) std::fill(s.begin(), s.end(), 0.0);
-    std::fill(counts.begin(), counts.end(), 0);
-    changed = 0;
-    kernels = 0;
-    skipped = 0;
-  }
-};
-
-/// Absolute slack (in distance units; rows are L2-normalized so distances
-/// are O(1)) applied to the skip test and the drift estimates. It absorbs
-/// the floating-point rounding of the sparse kernel and the sqrt so a skip
-/// is only taken when the assigned centroid is the unique nearest by a
-/// margin no rounding can cross — which is what keeps pruned assignments
-/// bit-identical to the full scan.
-constexpr double kBoundSafety = 1e-7;
-
-/// Picks k well-spread distinct rows as initial centroids,
-/// deterministically in (seed, n).
 std::vector<size_t> SeedRows(size_t n, int k, uint64_t seed) {
   Rng rng(seed);
   std::vector<size_t> rows;
@@ -74,6 +30,279 @@ std::vector<size_t> SeedRows(size_t n, int k, uint64_t seed) {
   }
   return rows;
 }
+
+void Accumulators::Allocate(int k, uint32_t dim_in) {
+  dim = dim_in;
+  sums.reset(new double[static_cast<size_t>(k) * dim]);
+  counts.assign(static_cast<size_t>(k), 0);
+  iteration = -1;
+}
+
+void Accumulators::Clear(int iter) {
+  std::fill(sums.get(), sums.get() + counts.size() * dim, 0.0);
+  std::fill(counts.begin(), counts.end(), 0);
+  changed = 0;
+  kernels = 0;
+  skipped = 0;
+  iteration = iter;
+}
+
+LloydState::LloydState(ExecContext& ctx, size_t n, int k_in, uint32_t dim_in,
+                       bool prune_in, bool recycle_in)
+    : k(k_in), dim(dim_in), prune(prune_in), recycle(recycle_in) {
+  // Worker-local accumulators, allocated once up front when recycling;
+  // each worker first touches its own when it clears them.
+  if (recycle) {
+    ctx.executor->RunSerial(parallel::WorkHint{}, [&] {
+      scratch = std::make_unique<parallel::WorkerLocal<Accumulators>>(
+          *ctx.executor);
+      scratch->ForEach([&](Accumulators& a) { a.Allocate(k, dim); });
+    });
+  }
+  if (prune) {
+    ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-init"}, [&] {
+      upper.assign(n, 0.0);
+      lower.assign(n, 0.0);
+      drift.assign(static_cast<size_t>(k), 0.0);
+    });
+  }
+  assign_grain = ctx.executor->AutoGrain(n);
+  const size_t assign_chunks = (n + assign_grain - 1) / assign_grain;
+  ctx.executor->RunSerial(parallel::WorkHint{}, [&] {
+    chunk_inertia.assign(assign_chunks, 0.0);
+  });
+}
+
+namespace {
+
+/// Copies the row-major centroids into the panel, in parallel over
+/// disjoint term ranges, one per worker (a finer split costs more task
+/// spawns than the copy saves). No bytes hint: the centroids were just
+/// written, so the copy's cost is its measured time.
+void CopyPanel(ExecContext& ctx, LloydState& s) {
+  const size_t workers = static_cast<size_t>(ctx.executor->num_workers());
+  const size_t grain = std::max<size_t>(1, (s.dim + workers - 1) / workers);
+  ctx.executor->ParallelFor(
+      0, s.dim, grain, parallel::WorkHint{0, "kmeans-panel"},
+      [&](int, size_t b, size_t e) {
+        s.panel.CopyTerms(s.centroids, static_cast<uint32_t>(b),
+                          static_cast<uint32_t>(e));
+      });
+}
+
+}  // namespace
+
+void LloydState::BuildPanel(ExecContext& ctx) {
+  ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-init"}, [&] {
+    panel = CentroidPanel(k, dim);
+    panel.SetSqNorms(centroid_sq);
+  });
+  CopyPanel(ctx, *this);
+}
+
+void BeginIteration(ExecContext& ctx, LloydState& s, int iter) {
+  s.iteration = iter;
+  if (s.recycle) return;
+  // Naive mode: brand-new accumulator objects every iteration, allocated
+  // and zeroed serially (as naive code would) and charged.
+  ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-alloc"}, [&] {
+    s.scratch =
+        std::make_unique<parallel::WorkerLocal<Accumulators>>(*ctx.executor);
+    s.scratch->ForEach([&](Accumulators& a) {
+      a.Allocate(s.k, s.dim);
+      a.Clear(iter);
+    });
+  });
+}
+
+namespace {
+
+/// Merge of the worker accumulators into slot 0 — the k x vocabulary
+/// critical path (not the document loop) that caps Figure 1's scalability
+/// and grows with the vocabulary (hence Mix saturating far below NSF).
+/// The parallel path is a pairwise tree (the merge schedule of a Cilk
+/// reducer hyperobject) whose pair combines are further sliced over
+/// clusters x fixed shards of the centroid dimension, so even the final
+/// root combine — serial in a plain pairwise tree — spreads across all
+/// workers. Slicing is fixed (independent of the worker count), so the
+/// additions inside one slice always run in the same order.
+void MergeAccumulators(ExecContext& ctx, LloydState& s) {
+  const int k = s.k;
+  const uint32_t dim = s.dim;
+  parallel::WorkerLocal<Accumulators>& scratch = *s.scratch;
+  if (ctx.serial_merge) {
+    // Ablation path: fold every worker accumulator serially.
+    ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-merge"}, [&] {
+      Accumulators& total = scratch.Get(0);
+      for (size_t w = 1; w < scratch.size(); ++w) {
+        Accumulators& from = scratch.Get(static_cast<int>(w));
+        total.changed += from.changed;
+        total.kernels += from.kernels;
+        total.skipped += from.skipped;
+        for (int c = 0; c < k; ++c) {
+          total.counts[static_cast<size_t>(c)] +=
+              from.counts[static_cast<size_t>(c)];
+          double* t = total.sum(static_cast<size_t>(c));
+          const double* f = from.sum(static_cast<size_t>(c));
+          for (uint32_t d = 0; d < dim; ++d) t[d] += f[d];
+        }
+      }
+    });
+    return;
+  }
+  // Fixed sub-cluster slicing of the dimension range keeps per-task work
+  // contiguous and the FP addition order worker-count-free within a slice.
+  const size_t dim_shards =
+      dim == 0 ? 1 : std::min<size_t>(8, static_cast<size_t>(dim));
+  const size_t parts = static_cast<size_t>(k) * dim_shards;
+  parallel::WorkHint merge_hint;
+  merge_hint.label = "kmeans-merge";
+  merge_hint.bytes_touched =
+      static_cast<uint64_t>(k) * dim * 2 * sizeof(double);
+  auto combine = [&](Accumulators& into, Accumulators& from, size_t part,
+                     size_t /*nparts*/) {
+    const size_t c = part / dim_shards;
+    const size_t ds = part % dim_shards;
+    if (part == 0) {
+      into.changed += from.changed;
+      into.kernels += from.kernels;
+      into.skipped += from.skipped;
+    }
+    if (ds == 0) into.counts[c] += from.counts[c];
+    const uint32_t lo =
+        static_cast<uint32_t>(static_cast<size_t>(dim) * ds / dim_shards);
+    const uint32_t hi = static_cast<uint32_t>(static_cast<size_t>(dim) *
+                                              (ds + 1) / dim_shards);
+    double* t = into.sum(c);
+    const double* f = from.sum(c);
+    for (uint32_t d = lo; d < hi; ++d) t[d] += f[d];
+  };
+  // Nested spawn tree by default: a pair combine starts the moment its two
+  // inputs are ready. --flat-parallelism keeps the barrier-per-stride
+  // schedule; both run the same combines in the same per-slot order, so
+  // the centroids are bit-identical.
+  if (ctx.flat_parallelism) {
+    parallel::ParallelTreeReduceFlat(*ctx.executor, scratch, parts,
+                                     merge_hint, combine);
+  } else {
+    parallel::ParallelTreeReduce(*ctx.executor, scratch, parts, merge_hint,
+                                 combine);
+  }
+}
+
+}  // namespace
+
+IterationTotals EndIteration(ExecContext& ctx, LloydState& s) {
+  // A worker that ran no assignment chunk this iteration still holds the
+  // last iteration's sums; the merge must see zeros from it.
+  ctx.executor->RunSerial(parallel::WorkHint{}, [&] {
+    s.scratch->ForEach([&](Accumulators& a) {
+      if (a.iteration != s.iteration) a.Clear(s.iteration);
+    });
+  });
+  MergeAccumulators(ctx, s);
+  const Accumulators& total = s.scratch->Get(0);
+  const int k = s.k;
+  const uint32_t dim = s.dim;
+
+  // Centroid finalize from the fully merged accumulator, one task per
+  // cluster: each cluster's loop is the serial loop it always was, so its
+  // centroid, squared norm and drift keep their bits. The drift — the L2
+  // norm of the dense float-space delta, the loosening the next
+  // iteration's bound tests need — comes out of the same pass by reading
+  // each coordinate before it is overwritten: no extra k×vocabulary buffer
+  // exists at any point. No bytes hint: the loop streams slot 0 right
+  // after the merge wrote it, so its cost is its measured time, as for the
+  // serial finalize it replaces.
+  ctx.executor->ParallelFor(
+      0, static_cast<size_t>(k), 1, parallel::WorkHint{0, "kmeans-finalize"},
+      [&](int, size_t cb, size_t ce) {
+        for (size_t c = cb; c < ce; ++c) {
+          auto& centroid = s.centroids[c];
+          const uint64_t count = total.counts[c];
+          if (count == 0) {
+            // Empty cluster keeps its centroid — zero drift.
+            if (s.prune) s.drift[c] = 0.0;
+            continue;
+          }
+          const double* t = total.sum(c);
+          double inv = 1.0 / static_cast<double>(count);
+          double sq = 0.0;
+          double drift_sq = 0.0;
+          for (uint32_t d = 0; d < dim; ++d) {
+            double v = t[d] * inv;
+            float fnew = static_cast<float>(v);
+            double delta =
+                static_cast<double>(fnew) - static_cast<double>(centroid[d]);
+            drift_sq += delta * delta;
+            centroid[d] = fnew;
+            sq += v * v;
+          }
+          s.centroid_sq[c] = sq;
+          if (s.prune) {
+            // Slight inflation keeps the drift a true upper bound on the
+            // real movement despite the rounding of the sum above.
+            s.drift[c] =
+                std::sqrt(drift_sq) * (1.0 + 1e-9) + kBoundSafety * 1e-3;
+          }
+        }
+      });
+
+  IterationTotals totals;
+  ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-finalize"}, [&] {
+    totals.changed = total.changed;
+    totals.kernels = total.kernels;
+    totals.skipped = total.skipped;
+    // Chunk-order inertia reduction: deterministic for a given
+    // (n, workers) no matter where the scheduler placed each chunk.
+    for (double v : s.chunk_inertia) totals.inertia += v;
+    s.panel.SetSqNorms(s.centroid_sq);
+    if (s.prune) {
+      // Max and runner-up drift over all centroids: the lower bound of a
+      // document assigned to the argmax centroid only needs to yield to
+      // the second-largest drift.
+      s.max_drift = 0.0;
+      s.second_drift = 0.0;
+      s.argmax_drift = -1;
+      for (int c = 0; c < k; ++c) {
+        double dr = s.drift[static_cast<size_t>(c)];
+        if (dr > s.max_drift) {
+          s.second_drift = s.max_drift;
+          s.max_drift = dr;
+          s.argmax_drift = c;
+        } else if (dr > s.second_drift) {
+          s.second_drift = dr;
+        }
+      }
+    }
+  });
+
+  CopyPanel(ctx, s);
+  return totals;
+}
+
+bool RecordIteration(const KMeansOptions& options,
+                     const IterationTotals& totals, KMeansResult& result) {
+  result.inertia = totals.inertia;
+  result.inertia_history.push_back(totals.inertia);
+  result.distance_kernels_evaluated += totals.kernels;
+  result.distance_kernels_skipped += totals.skipped;
+  const double iter_total = static_cast<double>(totals.kernels + totals.skipped);
+  result.skip_rate_history.push_back(
+      iter_total > 0 ? static_cast<double>(totals.skipped) / iter_total
+                     : 0.0);
+  if (options.stop_on_convergence && totals.changed == 0) {
+    result.converged = true;
+    return true;
+  }
+  return false;
+}
+
+}  // namespace kmeans_internal
+
+namespace {
+
+using kmeans_internal::kBoundSafety;
 
 /// k-means++ seeding: the first row uniformly at random, each further row
 /// sampled with probability proportional to its squared distance to the
@@ -126,30 +355,6 @@ std::vector<size_t> SeedRowsPlusPlus(const containers::SparseMatrix& matrix,
 
 }  // namespace
 
-int NearestCentroid(const containers::SparseVector& row, double row_sq,
-                    const std::vector<std::vector<float>>& centroids,
-                    const std::vector<double>& centroid_sq, double* best_d,
-                    double* second_d) {
-  int best = 0;
-  double bd = containers::SquaredDistance(row, row_sq, centroids[0],
-                                          centroid_sq[0]);
-  double sd = std::numeric_limits<double>::infinity();
-  for (size_t c = 1; c < centroids.size(); ++c) {
-    double d =
-        containers::SquaredDistance(row, row_sq, centroids[c], centroid_sq[c]);
-    if (d < bd) {
-      sd = bd;
-      bd = d;
-      best = static_cast<int>(c);
-    } else if (d < sd) {
-      sd = d;
-    }
-  }
-  *best_d = bd;
-  if (second_d != nullptr) *second_d = sd;
-  return best;
-}
-
 StatusOr<KMeansResult> SparseKMeans(ExecContext& ctx,
                                     const containers::SparseMatrix& matrix,
                                     const KMeansOptions& options) {
@@ -183,56 +388,33 @@ StatusOr<KMeansResult> SparseKMeans(ExecContext& ctx,
                                 }
                               });
 
-    // --- one-time setup (serial region, charged) -------------------------
-    std::vector<std::vector<float>> centroids;
-    std::vector<double> centroid_sq(static_cast<size_t>(k), 0.0);
+    // --- one-time setup (serial regions, charged) -------------------------
+    kmeans_internal::LloydState state(ctx, n, k, dim,
+                                      options.prune && !ctx.no_prune,
+                                      options.recycle_buffers);
     ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-init"}, [&] {
-      centroids.assign(static_cast<size_t>(k),
-                       std::vector<float>(dim, 0.0f));
+      state.centroids.assign(static_cast<size_t>(k),
+                             std::vector<float>(dim, 0.0f));
+      state.centroid_sq.assign(static_cast<size_t>(k), 0.0);
       const std::vector<size_t> seeds =
           options.init == KMeansInit::kPlusPlus
               ? SeedRowsPlusPlus(matrix, row_sq, k, options.seed)
-              : SeedRows(n, k, options.seed);
+              : kmeans_internal::SeedRows(n, k, options.seed);
       for (int c = 0; c < k; ++c) {
         // Densify the seed rows.
         const containers::SparseVector& row =
             matrix.rows[seeds[static_cast<size_t>(c)]];
-        containers::AddScaled(row, 1.0f, centroids[static_cast<size_t>(c)]);
-        centroid_sq[static_cast<size_t>(c)] = row.SquaredL2Norm();
+        containers::AddScaled(row, 1.0f,
+                              state.centroids[static_cast<size_t>(c)]);
+        state.centroid_sq[static_cast<size_t>(c)] = row.SquaredL2Norm();
       }
     });
+    state.BuildPanel(ctx);
 
     result.assignment.assign(n, 0xFFFFFFFFu);
 
-    // Worker-local accumulators, allocated once up front when recycling.
-    using Scratch = parallel::WorkerLocal<Accumulators>;
-    std::unique_ptr<Scratch> scratch;
-    if (options.recycle_buffers) {
-      ctx.executor->RunSerial(parallel::WorkHint{}, [&] {
-        scratch = std::make_unique<Scratch>(*ctx.executor);
-        scratch->ForEach([&](Accumulators& a) { a.Init(k, dim); });
-      });
-    }
-
-    // Triangle-inequality pruning state (Hamerly 2010): one upper bound
-    // (distance to the assigned centroid) and one lower bound (distance to
-    // the runner-up) per document, plus the per-centroid drift of the last
-    // finalize. All of it is O(n + k) — never n×k (Elkan) or k×vocabulary
-    // — and, like the assignment vector, it is persistent iteration state,
-    // so it is allocated once even in the naive-allocation ablation.
-    const bool prune = options.prune && !ctx.no_prune;
-    std::vector<double> upper, lower, drift;
-    double max_drift = 0.0, second_drift = 0.0;
-    int argmax_drift = -1;
-    if (prune) {
-      ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-init"}, [&] {
-        upper.assign(n, 0.0);
-        lower.assign(n, 0.0);
-        drift.assign(static_cast<size_t>(k), 0.0);
-      });
-    }
     std::unique_ptr<parallel::WorkerLocal<uint64_t>> violations;
-    if (prune && options.validate_bounds) {
+    if (state.prune && options.validate_bounds) {
       ctx.executor->RunSerial(parallel::WorkHint{}, [&] {
         violations =
             std::make_unique<parallel::WorkerLocal<uint64_t>>(*ctx.executor);
@@ -246,104 +428,29 @@ StatusOr<KMeansResult> SparseKMeans(ExecContext& ctx,
         matrix.ApproxMemoryBytes() +
         static_cast<uint64_t>(k) * dim * sizeof(float);
 
-    // The assignment grain is pinned to the executor's automatic choice so
-    // the chunk grid is a pure function of (n, workers) — each chunk owns
-    // one slot of `chunk_inertia`, making the inertia reduction (chunk
-    // order, below in finalize) independent of which worker actually runs
-    // the chunk. Allocated once: persistent iteration state, like the
-    // assignment vector.
-    const size_t assign_grain = ctx.executor->AutoGrain(n);
-    const size_t assign_chunks = (n + assign_grain - 1) / assign_grain;
-    std::vector<double> chunk_inertia;
-    ctx.executor->RunSerial(parallel::WorkHint{}, [&] {
-      chunk_inertia.assign(assign_chunks, 0.0);
-    });
-
     // --- Lloyd iterations --------------------------------------------------
     for (int iter = 0; iter < options.max_iterations; ++iter) {
       ++result.iterations;
+      kmeans_internal::BeginIteration(ctx, state, iter);
 
-      if (options.recycle_buffers) {
-        // Each worker clears its own accumulators in parallel — recycling
-        // means no allocation, just a streaming zero-fill.
-        ctx.executor->ParallelFor(
-            0, scratch->size(), 1, parallel::WorkHint{},
-            [&](int, size_t b, size_t e) {
-              for (size_t w = b; w < e; ++w) {
-                scratch->Get(static_cast<int>(w)).Reset();
-              }
-            });
-      } else {
-        // Naive mode: brand-new accumulator objects every iteration,
-        // allocated serially (as naive code would) and charged.
-        ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-alloc"}, [&] {
-          scratch = std::make_unique<Scratch>(*ctx.executor);
-          scratch->ForEach([&](Accumulators& a) { a.Init(k, dim); });
-        });
-      }
-
-      // Parallel assignment + accumulation over documents. With pruning
-      // on, a document whose loosened bounds prove the assigned centroid
-      // is still the unique nearest pays one kernel (to that centroid,
-      // which keeps the inertia sum and the upper bound exact — hence the
-      // bit-identical guarantee) instead of k. Timed separately (the
-      // "assign_ns" counter on the kmeans phase): this loop is what
-      // pruning accelerates, while merge and finalize are identical in
-      // both modes.
+      // Parallel assignment + accumulation over documents. Timed
+      // separately (the "assign_ns" counter on the kmeans phase): this
+      // loop is what pruning and the panel scan accelerate, while merge
+      // and finalize are identical in every mode.
+      const bool bounds_live = state.prune && iter > 0;
       const double assign_t0 = ctx.executor->Now();
       ctx.executor->ParallelFor(
-          0, n, assign_grain, assign_hint,
+          0, n, state.assign_grain, assign_hint,
           [&](int worker, size_t b, size_t e) {
-            Accumulators& acc = scratch->Get(worker);
+            kmeans_internal::Accumulators& acc =
+                kmeans_internal::WorkerAccumulators(state, worker);
             double local_inertia = 0.0;
             for (size_t i = b; i < e; ++i) {
-              const containers::SparseVector& row = matrix.rows[i];
-              if (prune && iter > 0) {
-                const uint32_t a = result.assignment[i];
-                const double loosen_other =
-                    static_cast<int>(a) == argmax_drift ? second_drift
-                                                        : max_drift;
-                const double u = upper[i] + drift[a];
-                const double l = lower[i] - loosen_other;
-                if (u + kBoundSafety < l) {
-                  double d = containers::SquaredDistance(
-                      row, row_sq[i], centroids[a], centroid_sq[a]);
-                  upper[i] = std::sqrt(std::max(0.0, d));
-                  lower[i] = l;
-                  acc.kernels += 1;
-                  acc.skipped += static_cast<uint64_t>(k - 1);
-                  local_inertia += d;
-                  acc.counts[a] += 1;
-                  auto& sum = acc.sums[a];
-                  for (size_t t = 0; t < row.nnz(); ++t) {
-                    sum[row.id_at(t)] += row.value_at(t);
-                  }
-                  continue;
-                }
-              }
-              double best_d = 0.0;
-              double second_d = 0.0;
-              int best =
-                  NearestCentroid(row, row_sq[i], centroids, centroid_sq,
-                                  &best_d, prune ? &second_d : nullptr);
-              acc.kernels += static_cast<uint64_t>(k);
-              if (prune) {
-                upper[i] = std::sqrt(std::max(0.0, best_d));
-                lower[i] = std::sqrt(std::max(0.0, second_d));
-              }
-              if (result.assignment[i] != static_cast<uint32_t>(best)) {
-                result.assignment[i] = static_cast<uint32_t>(best);
-                ++acc.changed;
-              }
-              local_inertia += best_d;
-              acc.counts[static_cast<size_t>(best)] += 1;
-              // Sparse scatter into the worker's dense sum.
-              auto& sum = acc.sums[static_cast<size_t>(best)];
-              for (size_t t = 0; t < row.nnz(); ++t) {
-                sum[row.id_at(t)] += row.value_at(t);
-              }
+              kmeans_internal::AssignRow(state, acc, i, matrix.rows[i],
+                                         row_sq[i], bounds_live,
+                                         result.assignment, local_inertia);
             }
-            chunk_inertia[b / assign_grain] = local_inertia;
+            state.chunk_inertia[b / state.assign_grain] = local_inertia;
           });
       if (ctx.phases != nullptr) {
         // Recorded as a counter (integer nanoseconds) rather than a phase
@@ -358,7 +465,7 @@ StatusOr<KMeansResult> SparseKMeans(ExecContext& ctx,
       // Bound-invariant audit (test hook): every document's upper bound
       // must dominate its true distance and its lower bound must stay
       // below the true runner-up distance, up to the safety slack.
-      if (prune && options.validate_bounds) {
+      if (violations != nullptr) {
         ctx.executor->ParallelFor(
             0, n, 0, parallel::WorkHint{0, "kmeans-validate"},
             [&](int worker, size_t b, size_t e) {
@@ -370,8 +477,8 @@ StatusOr<KMeansResult> SparseKMeans(ExecContext& ctx,
                 double d_assigned = 0.0;
                 for (int c = 0; c < k; ++c) {
                   double d = containers::SquaredDistance(
-                      row, row_sq[i], centroids[static_cast<size_t>(c)],
-                      centroid_sq[static_cast<size_t>(c)]);
+                      row, row_sq[i], state.centroids[static_cast<size_t>(c)],
+                      state.centroid_sq[static_cast<size_t>(c)]);
                   if (static_cast<uint32_t>(c) == a) {
                     d_assigned = d;
                   } else if (d < min_other) {
@@ -380,163 +487,16 @@ StatusOr<KMeansResult> SparseKMeans(ExecContext& ctx,
                 }
                 double true_u = std::sqrt(std::max(0.0, d_assigned));
                 double true_l = std::sqrt(std::max(0.0, min_other));
-                if (upper[i] < true_u - kBoundSafety) ++bad;
-                if (lower[i] > true_l + kBoundSafety) ++bad;
+                if (state.upper[i] < true_u - kBoundSafety) ++bad;
+                if (state.lower[i] > true_l + kBoundSafety) ++bad;
               }
               violations->Get(worker) += bad;
             });
       }
 
-      // Merge of the worker accumulators — the k x vocabulary critical
-      // path (not the document loop) that caps Figure 1's scalability and
-      // grows with the vocabulary (hence Mix saturating far below NSF).
-      // The parallel path is a pairwise tree (the merge schedule of a Cilk
-      // reducer hyperobject) whose pair combines are further sliced over
-      // clusters x fixed shards of the centroid dimension, so even the
-      // final root combine — serial in a plain pairwise tree — spreads
-      // across all workers. Slicing is fixed (independent of the worker
-      // count), so the additions inside one slice always run in the same
-      // order.
-      if (ctx.serial_merge) {
-        // Ablation path: fold every worker accumulator serially.
-        ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-merge"}, [&] {
-          Accumulators& total = scratch->Get(0);
-          for (size_t w = 1; w < scratch->size(); ++w) {
-            Accumulators& from = scratch->Get(static_cast<int>(w));
-            total.changed += from.changed;
-            total.kernels += from.kernels;
-            total.skipped += from.skipped;
-            for (int c = 0; c < k; ++c) {
-              total.counts[static_cast<size_t>(c)] +=
-                  from.counts[static_cast<size_t>(c)];
-              auto& t = total.sums[static_cast<size_t>(c)];
-              const auto& s = from.sums[static_cast<size_t>(c)];
-              for (uint32_t d = 0; d < dim; ++d) t[d] += s[d];
-            }
-          }
-        });
-      } else {
-        // Fixed sub-cluster slicing of the dimension range keeps per-task
-        // work contiguous and the FP addition order worker-count-free
-        // within a slice.
-        const size_t dim_shards =
-            dim == 0 ? 1 : std::min<size_t>(8, static_cast<size_t>(dim));
-        const size_t parts = static_cast<size_t>(k) * dim_shards;
-        parallel::WorkHint merge_hint;
-        merge_hint.label = "kmeans-merge";
-        merge_hint.bytes_touched =
-            static_cast<uint64_t>(k) * dim * 2 * sizeof(double);
-        auto combine = [&](Accumulators& into, Accumulators& from,
-                           size_t part, size_t nparts) {
-          (void)nparts;
-          const size_t c = part / dim_shards;
-          const size_t ds = part % dim_shards;
-          if (part == 0) {
-            into.changed += from.changed;
-            into.kernels += from.kernels;
-            into.skipped += from.skipped;
-          }
-          if (ds == 0) into.counts[c] += from.counts[c];
-          const uint32_t lo = static_cast<uint32_t>(
-              static_cast<size_t>(dim) * ds / dim_shards);
-          const uint32_t hi = static_cast<uint32_t>(
-              static_cast<size_t>(dim) * (ds + 1) / dim_shards);
-          auto& t = into.sums[c];
-          const auto& s = from.sums[c];
-          for (uint32_t d = lo; d < hi; ++d) t[d] += s[d];
-        };
-        // Nested spawn tree by default: a pair combine starts the moment
-        // its two inputs are ready. --flat-parallelism keeps the
-        // barrier-per-stride schedule; both run the same combines in the
-        // same per-slot order, so the centroids are bit-identical.
-        if (ctx.flat_parallelism) {
-          parallel::ParallelTreeReduceFlat(*ctx.executor, *scratch, parts,
-                                           merge_hint, combine);
-        } else {
-          parallel::ParallelTreeReduce(*ctx.executor, *scratch, parts,
-                                       merge_hint, combine);
-        }
-      }
-
-      // Serial centroid finalize from the fully merged accumulator. The
-      // drift of each centroid — the L2 norm of its dense float-space
-      // delta, the loosening the next iteration's bound tests need — comes
-      // out of this same pass by reading each coordinate before it is
-      // overwritten: no extra k×vocabulary buffer exists at any point.
-      uint64_t changed = 0;
-      double inertia = 0.0;
-      uint64_t iter_kernels = 0;
-      uint64_t iter_skipped = 0;
-      ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-finalize"}, [&] {
-        Accumulators& total = scratch->Get(0);
-        changed = total.changed;
-        iter_kernels = total.kernels;
-        iter_skipped = total.skipped;
-        // Chunk-order inertia reduction: deterministic for a given
-        // (n, workers) no matter where the scheduler placed each chunk.
-        for (double v : chunk_inertia) inertia += v;
-        for (int c = 0; c < k; ++c) {
-          auto& centroid = centroids[static_cast<size_t>(c)];
-          uint64_t count = total.counts[static_cast<size_t>(c)];
-          if (count == 0) {
-            // Empty cluster keeps its centroid — zero drift.
-            if (prune) drift[static_cast<size_t>(c)] = 0.0;
-            continue;
-          }
-          const auto& t = total.sums[static_cast<size_t>(c)];
-          double inv = 1.0 / static_cast<double>(count);
-          double sq = 0.0;
-          double drift_sq = 0.0;
-          for (uint32_t d = 0; d < dim; ++d) {
-            double v = t[d] * inv;
-            float fnew = static_cast<float>(v);
-            double delta = static_cast<double>(fnew) -
-                           static_cast<double>(centroid[d]);
-            drift_sq += delta * delta;
-            centroid[d] = fnew;
-            sq += v * v;
-          }
-          centroid_sq[static_cast<size_t>(c)] = sq;
-          if (prune) {
-            // Slight inflation keeps the drift a true upper bound on the
-            // real movement despite the rounding of the sum above.
-            drift[static_cast<size_t>(c)] =
-                std::sqrt(drift_sq) * (1.0 + 1e-9) + kBoundSafety * 1e-3;
-          }
-        }
-        if (prune) {
-          // Max and runner-up drift over all centroids: the lower bound of
-          // a document assigned to the argmax centroid only needs to yield
-          // to the second-largest drift.
-          max_drift = 0.0;
-          second_drift = 0.0;
-          argmax_drift = -1;
-          for (int c = 0; c < k; ++c) {
-            double dr = drift[static_cast<size_t>(c)];
-            if (dr > max_drift) {
-              second_drift = max_drift;
-              max_drift = dr;
-              argmax_drift = c;
-            } else if (dr > second_drift) {
-              second_drift = dr;
-            }
-          }
-        }
-      });
-
-      result.inertia = inertia;
-      result.inertia_history.push_back(inertia);
-      result.distance_kernels_evaluated += iter_kernels;
-      result.distance_kernels_skipped += iter_skipped;
-      const double iter_total =
-          static_cast<double>(iter_kernels + iter_skipped);
-      result.skip_rate_history.push_back(
-          iter_total > 0 ? static_cast<double>(iter_skipped) / iter_total
-                         : 0.0);
-      if (options.stop_on_convergence && changed == 0) {
-        result.converged = true;
-        break;
-      }
+      const kmeans_internal::IterationTotals totals =
+          kmeans_internal::EndIteration(ctx, state);
+      if (kmeans_internal::RecordIteration(options, totals, result)) break;
     }
 
     if (violations != nullptr) {
@@ -552,7 +512,7 @@ StatusOr<KMeansResult> SparseKMeans(ExecContext& ctx,
                            result.distance_kernels_skipped);
     }
 
-    result.centroids = std::move(centroids);
+    result.centroids = std::move(state.centroids);
   });
 
   return result;
@@ -594,7 +554,8 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
     ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-init"}, [&] {
       centroids.assign(static_cast<size_t>(k),
                        std::vector<float>(dim, 0.0f));
-      const std::vector<size_t> seeds = SeedRows(n, k, options.seed);
+      const std::vector<size_t> seeds =
+          kmeans_internal::SeedRows(n, k, options.seed);
       for (int c = 0; c < k; ++c) {
         const containers::SparseVector& row =
             matrix.rows[seeds[static_cast<size_t>(c)]];
@@ -605,6 +566,7 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
 
     std::vector<size_t> batch(batch_size);
     std::vector<uint32_t> batch_best(batch_size);
+    CentroidPanel panel(k, dim);
     for (int iter = 0; iter < options.max_iterations; ++iter) {
       ++result.iterations;
 
@@ -614,11 +576,14 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
         for (size_t b = 0; b < batch_size; ++b) {
           batch[b] = rng.NextBounded(n);
         }
+        // The batch is assigned against this step's centroids before any
+        // of them moves: one panel rebuild, then one scan per batch row.
+        panel.CopyTerms(centroids, 0, dim);
+        panel.SetSqNorms(centroid_sq);
         for (size_t b = 0; b < batch_size; ++b) {
           const containers::SparseVector& row = matrix.rows[batch[b]];
           double best_d = 0.0;
-          int best = NearestCentroid(row, row.SquaredL2Norm(), centroids,
-                                     centroid_sq, &best_d);
+          int best = panel.Nearest(row, row.SquaredL2Norm(), &best_d);
           batch_best[b] = static_cast<uint32_t>(best);
         }
         for (size_t b = 0; b < batch_size; ++b) {
@@ -637,6 +602,10 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
     }
 
     // Final full assignment pass: parallel over all documents.
+    ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-init"}, [&] {
+      panel.CopyTerms(centroids, 0, dim);
+      panel.SetSqNorms(centroid_sq);
+    });
     result.assignment.assign(n, 0);
     parallel::WorkerLocal<double> partial_inertia(*ctx.executor);
     parallel::WorkHint hint;
@@ -648,8 +617,7 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
           for (size_t i = b; i < e; ++i) {
             const containers::SparseVector& row = matrix.rows[i];
             double best_d = 0.0;
-            int best = NearestCentroid(row, row.SquaredL2Norm(), centroids,
-                                       centroid_sq, &best_d);
+            int best = panel.Nearest(row, row.SquaredL2Norm(), &best_d);
             result.assignment[i] = static_cast<uint32_t>(best);
             acc += best_d;
           }

@@ -13,7 +13,8 @@
 /// K-means clustering (§3.1). The production form is sparse and parallel:
 ///
 ///  * assignment step: parallel loop over documents; distances use the
-///    sparse kernel ||x||² − 2·x·c + ||c||² (O(nnz) per cluster);
+///    sparse kernel ||x||² − 2·x·c + ||c||², all k dots from one pass over
+///    the row against a centroid-major panel (CentroidPanel);
 ///  * accumulation: worker-local dense centroid sums, no allocation inside
 ///    iterations (the paper's buffer-recycling discipline);
 ///  * merge: pairwise tree over the worker accumulators with each pair
@@ -21,7 +22,9 @@
 ///    (parallel::ParallelTreeReduce), so the k × vocabulary merge work no
 ///    longer serializes — `ctx.serial_merge` restores the serial fold whose
 ///    Amdahl term caps the Mix corpus near 2.5x in Figure 1;
-///  * centroid finalize: serial, cost ∝ k × vocabulary.
+///  * centroid finalize: parallel over clusters (each cluster's loop, and
+///    so its bits, unchanged), then a parallel panel rebuild over term
+///    ranges; only the k-sized max-drift scan stays serial.
 ///
 /// `recycle_buffers=false` switches to a deliberately naive mode that
 /// reallocates every iteration (the ablation for the paper's claim that
@@ -120,16 +123,58 @@ struct KMeansResult {
   uint64_t bound_violations = 0;
 };
 
-/// Index of the centroid nearest to `row` (ties break to the lowest
-/// index, matching the scan order of the unpruned assignment step).
-/// `best_d` receives the squared distance to the winner; `second_d`, when
-/// non-null, the squared distance to the runner-up (meaningful only for
-/// k >= 2). This is the shared exact-kernel helper used by SparseKMeans'
-/// fallback path, MiniBatchKMeans, and the serving classify path.
-int NearestCentroid(const containers::SparseVector& row, double row_sq,
-                    const std::vector<std::vector<float>>& centroids,
-                    const std::vector<double>& centroid_sq, double* best_d,
-                    double* second_d = nullptr);
+/// The k centroids laid out centroid-major for the assignment scan: a
+/// term-major `dim x k` float block, panel[id * k + c] = centroid c at
+/// term id, plus each centroid's squared norm as the caller computed it.
+/// One pass over a sparse row's nonzeros reads, per nonzero, the k
+/// contiguous floats of its term, instead of k gathers from k separate
+/// centroid arrays. This is the one nearest-centroid kernel: the K-means
+/// assignment step (in memory, mini-batch and streaming) and the serving
+/// classify path all scan a panel.
+///
+/// Every distance is bit-identical to containers::SquaredDistance against
+/// the row-major centroid: per centroid, the products are summed in double
+/// in the same nonzero order as containers::Dot (ids >= dim contribute
+/// nothing, as there). The squared norms are never recomputed — K-means
+/// derives them from its double sums, serving from the stored floats, and
+/// each keeps its own bits. On x86 CPUs with AVX2 the scan runs an
+/// intrinsics twin (convert, multiply, add — no fused multiply-add, which
+/// would round differently), chosen once at run time.
+class CentroidPanel {
+ public:
+  CentroidPanel() = default;
+
+  /// An all-zero panel of `k` centroids over `dim` terms, norms zero.
+  CentroidPanel(int k, uint32_t dim);
+
+  /// The panel of `centroids` (k rows, normally of one length; a shorter
+  /// row reads as zeros past its end, as containers::Dot treats it);
+  /// `centroid_sq` is taken unchanged as the centroids' squared norms.
+  CentroidPanel(const std::vector<std::vector<float>>& centroids,
+                std::vector<double> centroid_sq);
+
+  /// Copies terms [lo, hi) of `centroids` (the shape the panel was built
+  /// with) into the panel. Term ranges are disjoint panel rows, so a
+  /// parallel loop over term ranges rebuilds the panel race-free.
+  void CopyTerms(const std::vector<std::vector<float>>& centroids,
+                 uint32_t lo, uint32_t hi);
+
+  /// Replaces the squared norms (taken unchanged; size k).
+  void SetSqNorms(const std::vector<double>& centroid_sq);
+
+  /// Index of the centroid nearest to `row` (ties break to the lowest
+  /// index). `best_d` receives the squared distance to the winner;
+  /// `second_d`, when non-null, the squared distance to the runner-up
+  /// (infinity for k == 1). `row_sq` is the row's squared norm.
+  int Nearest(const containers::SparseVector& row, double row_sq,
+              double* best_d, double* second_d = nullptr) const;
+
+ private:
+  int k_ = 0;
+  uint32_t dim_ = 0;
+  std::vector<float> panel_;
+  std::vector<double> sq_;
+};
 
 /// Sparse parallel K-means over TF/IDF rows. Accrues the "kmeans" phase on
 /// ctx.phases. Rows should be L2-normalized (the operator does not

@@ -6,8 +6,8 @@
 #include <memory>
 #include <utility>
 
-#include "common/random.h"
 #include "common/string_util.h"
+#include "ops/kmeans_internal.h"
 #include "parallel/parallel_ops.h"
 #include "text/stemmer.h"
 #include "text/tokenizer.h"
@@ -31,43 +31,49 @@ void AddPrefetchCounters(PhaseTimer* phases, const std::string& phase,
   phases->AddCount(phase, "high_water_bytes", stats.high_water_bytes);
 }
 
+TermIndex::TermIndex(const StreamingTfidfModel& model) {
+  ids.Reserve(model.terms.size());
+  idf.reserve(model.terms.size());
+  const double n_docs = static_cast<double>(model.num_docs);
+  for (size_t id = 0; id < model.terms.size(); ++id) {
+    ids.FindOrInsert(model.terms[id]) = static_cast<uint32_t>(id);
+    idf.push_back(std::log(n_docs / static_cast<double>(model.term_dfs[id])));
+  }
+}
+
 void ScoreDocument(const ExecContext& ctx, const StreamingTfidfModel& model,
-                   std::string_view body,
-                   containers::OpenHashMap<std::string, uint32_t>& tf,
-                   std::vector<std::pair<uint32_t, float>>& scratch,
-                   std::string& stem_buf, containers::SparseVector& row) {
-  tf.Clear();
-  scratch.clear();
-  row.Clear();
+                   const TermIndex& index, std::string_view body,
+                   ScoreScratch& scratch) {
+  scratch.pairs.clear();
+  scratch.row.Clear();
   text::ForEachToken(body, ctx.tokenizer, [&](std::string_view token) {
     if (ctx.stem_tokens) {
-      stem_buf.assign(token);
-      token = text::PorterStem(stem_buf);
+      scratch.stem_buf.assign(token);
+      token = text::PorterStem(scratch.stem_buf);
     }
-    tf.FindOrInsert(token) += 1;
+    const uint32_t* id = index.ids.Find(token);
+    if (id == nullptr) return;  // pruned (min_df/max_df) or unseen
+    if (scratch.tf[*id]++ == 0) scratch.touched.push_back(*id);
   });
-  // Identical arithmetic to tfidf_internal::BuildScoreRow, with the sorted
-  // vocabulary replacing the dropped df dictionary: a term absent from
-  // `terms` was pruned (min_df/max_df), same as the kPrunedTermId skip.
-  // The tf table's iteration order does not matter — ids are distinct, so
-  // the sort below lands the same row either way.
-  const double n_docs = static_cast<double>(model.num_docs);
-  tf.ForEach([&](const std::string& word, uint32_t count) {
-    auto it = std::lower_bound(model.terms.begin(), model.terms.end(), word);
-    if (it == model.terms.end() || *it != word) return;  // pruned
-    const uint32_t id = static_cast<uint32_t>(it - model.terms.begin());
+  // Identical arithmetic to tfidf_internal::BuildScoreRow. The touched
+  // order does not matter — ids are distinct, so the sort below lands the
+  // same row either way.
+  for (uint32_t id : scratch.touched) {
+    const uint32_t count = scratch.tf[id];
+    scratch.tf[id] = 0;
     double weight = model.options.sublinear_tf
                         ? 1.0 + std::log(static_cast<double>(count))
                         : static_cast<double>(count);
-    double idf =
-        std::log(n_docs / static_cast<double>(model.term_dfs[id]));
-    scratch.emplace_back(id, static_cast<float>(weight * idf));
-  });
-  std::sort(scratch.begin(), scratch.end(),
+    scratch.pairs.emplace_back(id, static_cast<float>(weight * index.idf[id]));
+  }
+  scratch.touched.clear();
+  std::sort(scratch.pairs.begin(), scratch.pairs.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  row.Reserve(scratch.size());
-  for (const auto& [id, score] : scratch) row.PushBack(id, score);
-  if (model.options.normalize) row.NormalizeL2();
+  scratch.row.Reserve(scratch.pairs.size());
+  for (const auto& [id, score] : scratch.pairs) {
+    scratch.row.PushBack(id, score);
+  }
+  if (model.options.normalize) scratch.row.NormalizeL2();
 }
 
 }  // namespace streaming_internal
@@ -75,6 +81,8 @@ void ScoreDocument(const ExecContext& ctx, const StreamingTfidfModel& model,
 namespace {
 
 using streaming_internal::ScoreDocument;
+using streaming_internal::ScoreScratch;
+using streaming_internal::TermIndex;
 
 /// Folds one pass's window stats into the caller-provided accumulator.
 void AccumulateStats(io::PrefetchStats* into, const io::PrefetchStats& from) {
@@ -89,59 +97,6 @@ void AccumulateStats(io::PrefetchStats* into, const io::PrefetchStats& from) {
   into->high_water_bytes =
       std::max(into->high_water_bytes, from.high_water_bytes);
 }
-
-// --- K-means internals mirrored from ops/kmeans.cc -------------------------
-// The streaming assignment step must stay BIT-IDENTICAL to SparseKMeans, so
-// these definitions (accumulator layout, safety margin, seeding) must not
-// drift from their kmeans.cc counterparts; the multi-op float kernels
-// themselves (SquaredDistance, NearestCentroid) are shared functions.
-
-struct Accumulators {
-  std::vector<std::vector<double>> sums;
-  std::vector<uint64_t> counts;
-  uint64_t changed = 0;
-  uint64_t kernels = 0;
-  uint64_t skipped = 0;
-
-  void Init(int k, uint32_t dim) {
-    sums.assign(static_cast<size_t>(k), std::vector<double>(dim, 0.0));
-    counts.assign(static_cast<size_t>(k), 0);
-    changed = 0;
-    kernels = 0;
-    skipped = 0;
-  }
-
-  void Reset() {
-    for (auto& s : sums) std::fill(s.begin(), s.end(), 0.0);
-    std::fill(counts.begin(), counts.end(), 0);
-    changed = 0;
-    kernels = 0;
-    skipped = 0;
-  }
-};
-
-constexpr double kBoundSafety = 1e-7;
-
-std::vector<size_t> SeedRows(size_t n, int k, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<size_t> rows;
-  rows.reserve(static_cast<size_t>(k));
-  for (int c = 0; c < k; ++c) {
-    size_t lo = n * static_cast<size_t>(c) / static_cast<size_t>(k);
-    size_t hi = n * static_cast<size_t>(c + 1) / static_cast<size_t>(k);
-    if (hi <= lo) hi = lo + 1;
-    rows.push_back(lo + rng.NextBounded(hi - lo));
-  }
-  return rows;
-}
-
-/// Per-worker recycled scoring state for pass-2 row re-derivation.
-struct ScoreScratch {
-  containers::OpenHashMap<std::string, uint32_t> tf;
-  std::vector<std::pair<uint32_t, float>> pairs;
-  std::string stem_buf;
-  containers::SparseVector row;
-};
 
 template <containers::DictBackend B>
 StatusOr<StreamingTfidfModel> StreamingTfidfFitT(
@@ -277,30 +232,39 @@ StatusOr<KMeansResult> StreamingSparseKMeans(
   size_t windows_seen = 0;
 
   ctx.TimePhase("kmeans", [&] {
+    // The vocabulary lookup table and the per-worker scoring scratch are
+    // built once for the whole run.
+    std::unique_ptr<TermIndex> index;
     using Scoring = parallel::WorkerLocal<ScoreScratch>;
     std::unique_ptr<Scoring> score_scratch;
-    ctx.executor->RunSerial(parallel::WorkHint{}, [&] {
-      score_scratch = std::make_unique<Scoring>(*ctx.executor);
+    ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-init"}, [&] {
+      index = std::make_unique<TermIndex>(model);
+      score_scratch = std::make_unique<Scoring>(
+          *ctx.executor, [&] { return ScoreScratch(dim); });
     });
+
+    // Streaming always recycles its accumulators.
+    kmeans_internal::LloydState state(ctx, n, k, dim,
+                                      options.prune && !ctx.no_prune,
+                                      /*recycle=*/true);
 
     // Seeding reads the k stratified seed documents individually (k
     // ranged reads, charged normally) and densifies their re-scored rows
     // — the same rows the in-memory path densifies out of its matrix.
-    std::vector<std::vector<float>> centroids;
-    std::vector<double> centroid_sq(static_cast<size_t>(k), 0.0);
     ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-init"}, [&] {
-      centroids.assign(static_cast<size_t>(k),
-                       std::vector<float>(dim, 0.0f));
-      const std::vector<size_t> seeds = SeedRows(n, k, options.seed);
-      ScoreScratch ss;
+      state.centroids.assign(static_cast<size_t>(k),
+                             std::vector<float>(dim, 0.0f));
+      state.centroid_sq.assign(static_cast<size_t>(k), 0.0);
+      const std::vector<size_t> seeds =
+          kmeans_internal::SeedRows(n, k, options.seed);
+      ScoreScratch& ss = score_scratch->Get(0);
       for (int c = 0; c < k; ++c) {
         const size_t i = seeds[static_cast<size_t>(c)];
         ss.row.Clear();
         if (!model.doc_failed[i]) {
           auto body = corpus.ReadBody(i);
           if (body.ok()) {
-            ScoreDocument(ctx, model, *body, ss.tf, ss.pairs, ss.stem_buf,
-                          ss.row);
+            ScoreDocument(ctx, model, *index, *body, ss);
           } else if (!skip_mode) {
             stream_status =
                 body.status().WithContext("streaming k-means seeding");
@@ -311,64 +275,36 @@ StatusOr<KMeansResult> StreamingSparseKMeans(
           // materialized matrix.
         }
         containers::AddScaled(ss.row, 1.0f,
-                              centroids[static_cast<size_t>(c)]);
-        centroid_sq[static_cast<size_t>(c)] = ss.row.SquaredL2Norm();
+                              state.centroids[static_cast<size_t>(c)]);
+        state.centroid_sq[static_cast<size_t>(c)] = ss.row.SquaredL2Norm();
       }
     });
     if (!stream_status.ok()) return;
+    state.BuildPanel(ctx);
 
     result.assignment.assign(n, 0xFFFFFFFFu);
-
-    using Scratch = parallel::WorkerLocal<Accumulators>;
-    std::unique_ptr<Scratch> scratch;
-    ctx.executor->RunSerial(parallel::WorkHint{}, [&] {
-      scratch = std::make_unique<Scratch>(*ctx.executor);
-      scratch->ForEach([&](Accumulators& a) { a.Init(k, dim); });
-    });
 
     // Hamerly bound state persists across windows AND iterations — this is
     // what makes pruning survive windowing: a document's bounds loosen by
     // the same drifts whether its row lives in RAM or is re-scored.
-    const bool prune = options.prune && !ctx.no_prune;
-    std::vector<double> upper, lower, drift;
-    double max_drift = 0.0, second_drift = 0.0;
-    int argmax_drift = -1;
-    if (prune) {
-      ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-init"}, [&] {
-        upper.assign(n, 0.0);
-        lower.assign(n, 0.0);
-        drift.assign(static_cast<size_t>(k), 0.0);
-      });
-    }
-
+    //
     // The chunk grid is GLOBAL — a pure function of (n, workers), exactly
     // the grid the in-memory assignment uses — while windows are an I/O
     // artifact. A chunk split by a window boundary resumes its partial
     // inertia sum (`local = chunk_inertia[c]`), so the left-to-right FP
     // addition order inside every chunk matches the in-memory loop.
-    const size_t assign_grain = ctx.executor->AutoGrain(n);
-    const size_t assign_chunks = (n + assign_grain - 1) / assign_grain;
-    std::vector<double> chunk_inertia;
-    ctx.executor->RunSerial(parallel::WorkHint{}, [&] {
-      chunk_inertia.assign(assign_chunks, 0.0);
-    });
-
+    const size_t assign_grain = state.assign_grain;
     std::vector<Status> doc_errors(n);
 
     for (int iter = 0; iter < options.max_iterations; ++iter) {
       ++result.iterations;
-
-      ctx.executor->ParallelFor(
-          0, scratch->size(), 1, parallel::WorkHint{},
-          [&](int, size_t b, size_t e) {
-            for (size_t w = b; w < e; ++w) {
-              scratch->Get(static_cast<int>(w)).Reset();
-            }
-          });
+      kmeans_internal::BeginIteration(ctx, state, iter);
       ctx.executor->RunSerial(parallel::WorkHint{}, [&] {
-        std::fill(chunk_inertia.begin(), chunk_inertia.end(), 0.0);
+        std::fill(state.chunk_inertia.begin(), state.chunk_inertia.end(),
+                  0.0);
       });
 
+      const bool bounds_live = state.prune && iter > 0;
       const double assign_t0 = ctx.executor->Now();
       windows.Reset();
       for (size_t w = 0; w < windows.num_windows(); ++w) {
@@ -392,20 +328,21 @@ StatusOr<KMeansResult> StreamingSparseKMeans(
         const size_t c1 = (data.end_doc - 1) / assign_grain + 1;
         ctx.executor->ParallelFor(
             c0, c1, 1, assign_hint, [&](int worker, size_t cb, size_t ce) {
-              Accumulators& acc = scratch->Get(worker);
+              kmeans_internal::Accumulators& acc =
+                  kmeans_internal::WorkerAccumulators(state, worker);
               ScoreScratch& ss = score_scratch->Get(worker);
               for (size_t c = cb; c < ce; ++c) {
                 const size_t b = std::max(c * assign_grain, data.begin_doc);
                 const size_t e =
                     std::min((c + 1) * assign_grain, data.end_doc);
-                double local_inertia = chunk_inertia[c];
+                double local_inertia = state.chunk_inertia[c];
                 for (size_t i = b; i < e; ++i) {
                   const size_t local = i - data.begin_doc;
                   ss.row.Clear();
                   if (model.doc_failed[i] == 0) {
                     if (data.statuses[local].ok()) {
-                      ScoreDocument(ctx, model, data.bodies[local], ss.tf,
-                                    ss.pairs, ss.stem_buf, ss.row);
+                      ScoreDocument(ctx, model, *index, data.bodies[local],
+                                    ss);
                     } else if (!skip_mode) {
                       doc_errors[i] = data.statuses[local];
                       ctx.executor->RequestStop();
@@ -414,53 +351,12 @@ StatusOr<KMeansResult> StreamingSparseKMeans(
                     // skip mode: a document lost to faults mid-stream
                     // clusters as an empty row, like a quarantined one.
                   }
-                  const containers::SparseVector& row = ss.row;
-                  const double rsq = row.SquaredL2Norm();
-                  if (prune && iter > 0) {
-                    const uint32_t a = result.assignment[i];
-                    const double loosen_other =
-                        static_cast<int>(a) == argmax_drift ? second_drift
-                                                            : max_drift;
-                    const double u = upper[i] + drift[a];
-                    const double l = lower[i] - loosen_other;
-                    if (u + kBoundSafety < l) {
-                      double d = containers::SquaredDistance(
-                          row, rsq, centroids[a], centroid_sq[a]);
-                      upper[i] = std::sqrt(std::max(0.0, d));
-                      lower[i] = l;
-                      acc.kernels += 1;
-                      acc.skipped += static_cast<uint64_t>(k - 1);
-                      local_inertia += d;
-                      acc.counts[a] += 1;
-                      auto& sum = acc.sums[a];
-                      for (size_t t = 0; t < row.nnz(); ++t) {
-                        sum[row.id_at(t)] += row.value_at(t);
-                      }
-                      continue;
-                    }
-                  }
-                  double best_d = 0.0;
-                  double second_d = 0.0;
-                  int best =
-                      NearestCentroid(row, rsq, centroids, centroid_sq,
-                                      &best_d, prune ? &second_d : nullptr);
-                  acc.kernels += static_cast<uint64_t>(k);
-                  if (prune) {
-                    upper[i] = std::sqrt(std::max(0.0, best_d));
-                    lower[i] = std::sqrt(std::max(0.0, second_d));
-                  }
-                  if (result.assignment[i] != static_cast<uint32_t>(best)) {
-                    result.assignment[i] = static_cast<uint32_t>(best);
-                    ++acc.changed;
-                  }
-                  local_inertia += best_d;
-                  acc.counts[static_cast<size_t>(best)] += 1;
-                  auto& sum = acc.sums[static_cast<size_t>(best)];
-                  for (size_t t = 0; t < row.nnz(); ++t) {
-                    sum[row.id_at(t)] += row.value_at(t);
-                  }
+                  kmeans_internal::AssignRow(state, acc, i, ss.row,
+                                             ss.row.SquaredL2Norm(),
+                                             bounds_live, result.assignment,
+                                             local_inertia);
                 }
-                chunk_inertia[c] = local_inertia;
+                state.chunk_inertia[c] = local_inertia;
               }
             });
         for (size_t i = data.begin_doc; i < data.end_doc; ++i) {
@@ -478,128 +374,10 @@ StatusOr<KMeansResult> StreamingSparseKMeans(
                 std::max(0.0, ctx.executor->Now() - assign_t0) * 1e9 + 0.5));
       }
 
-      // Merge + finalize are the in-memory code paths verbatim: one merge
-      // per iteration over the same fixed k x dim_shards slicing, then the
-      // serial finalize with the drift scan.
-      if (ctx.serial_merge) {
-        ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-merge"}, [&] {
-          Accumulators& total = scratch->Get(0);
-          for (size_t w = 1; w < scratch->size(); ++w) {
-            Accumulators& from = scratch->Get(static_cast<int>(w));
-            total.changed += from.changed;
-            total.kernels += from.kernels;
-            total.skipped += from.skipped;
-            for (int c = 0; c < k; ++c) {
-              total.counts[static_cast<size_t>(c)] +=
-                  from.counts[static_cast<size_t>(c)];
-              auto& t = total.sums[static_cast<size_t>(c)];
-              const auto& s = from.sums[static_cast<size_t>(c)];
-              for (uint32_t d = 0; d < dim; ++d) t[d] += s[d];
-            }
-          }
-        });
-      } else {
-        const size_t dim_shards =
-            dim == 0 ? 1 : std::min<size_t>(8, static_cast<size_t>(dim));
-        const size_t parts = static_cast<size_t>(k) * dim_shards;
-        parallel::WorkHint merge_hint;
-        merge_hint.label = "kmeans-merge";
-        merge_hint.bytes_touched =
-            static_cast<uint64_t>(k) * dim * 2 * sizeof(double);
-        auto combine = [&](Accumulators& into, Accumulators& from,
-                           size_t part, size_t nparts) {
-          (void)nparts;
-          const size_t c = part / dim_shards;
-          const size_t ds = part % dim_shards;
-          if (part == 0) {
-            into.changed += from.changed;
-            into.kernels += from.kernels;
-            into.skipped += from.skipped;
-          }
-          if (ds == 0) into.counts[c] += from.counts[c];
-          const uint32_t lo = static_cast<uint32_t>(
-              static_cast<size_t>(dim) * ds / dim_shards);
-          const uint32_t hi = static_cast<uint32_t>(
-              static_cast<size_t>(dim) * (ds + 1) / dim_shards);
-          auto& t = into.sums[c];
-          const auto& s = from.sums[c];
-          for (uint32_t d = lo; d < hi; ++d) t[d] += s[d];
-        };
-        if (ctx.flat_parallelism) {
-          parallel::ParallelTreeReduceFlat(*ctx.executor, *scratch, parts,
-                                           merge_hint, combine);
-        } else {
-          parallel::ParallelTreeReduce(*ctx.executor, *scratch, parts,
-                                       merge_hint, combine);
-        }
-      }
-
-      uint64_t changed = 0;
-      double inertia = 0.0;
-      uint64_t iter_kernels = 0;
-      uint64_t iter_skipped = 0;
-      ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-finalize"}, [&] {
-        Accumulators& total = scratch->Get(0);
-        changed = total.changed;
-        iter_kernels = total.kernels;
-        iter_skipped = total.skipped;
-        for (double v : chunk_inertia) inertia += v;
-        for (int c = 0; c < k; ++c) {
-          auto& centroid = centroids[static_cast<size_t>(c)];
-          uint64_t count = total.counts[static_cast<size_t>(c)];
-          if (count == 0) {
-            if (prune) drift[static_cast<size_t>(c)] = 0.0;
-            continue;
-          }
-          const auto& t = total.sums[static_cast<size_t>(c)];
-          double inv = 1.0 / static_cast<double>(count);
-          double sq = 0.0;
-          double drift_sq = 0.0;
-          for (uint32_t d = 0; d < dim; ++d) {
-            double v = t[d] * inv;
-            float fnew = static_cast<float>(v);
-            double delta = static_cast<double>(fnew) -
-                           static_cast<double>(centroid[d]);
-            drift_sq += delta * delta;
-            centroid[d] = fnew;
-            sq += v * v;
-          }
-          centroid_sq[static_cast<size_t>(c)] = sq;
-          if (prune) {
-            drift[static_cast<size_t>(c)] =
-                std::sqrt(drift_sq) * (1.0 + 1e-9) + kBoundSafety * 1e-3;
-          }
-        }
-        if (prune) {
-          max_drift = 0.0;
-          second_drift = 0.0;
-          argmax_drift = -1;
-          for (int c = 0; c < k; ++c) {
-            double dr = drift[static_cast<size_t>(c)];
-            if (dr > max_drift) {
-              second_drift = max_drift;
-              max_drift = dr;
-              argmax_drift = c;
-            } else if (dr > second_drift) {
-              second_drift = dr;
-            }
-          }
-        }
-      });
-
-      result.inertia = inertia;
-      result.inertia_history.push_back(inertia);
-      result.distance_kernels_evaluated += iter_kernels;
-      result.distance_kernels_skipped += iter_skipped;
-      const double iter_total =
-          static_cast<double>(iter_kernels + iter_skipped);
-      result.skip_rate_history.push_back(
-          iter_total > 0 ? static_cast<double>(iter_skipped) / iter_total
-                         : 0.0);
-      if (options.stop_on_convergence && changed == 0) {
-        result.converged = true;
-        break;
-      }
+      // Merge + finalize are the in-memory code path itself.
+      const kmeans_internal::IterationTotals totals =
+          kmeans_internal::EndIteration(ctx, state);
+      if (kmeans_internal::RecordIteration(options, totals, result)) break;
     }
 
     if (ctx.phases != nullptr) {
@@ -609,7 +387,7 @@ StatusOr<KMeansResult> StreamingSparseKMeans(
                            result.distance_kernels_skipped);
     }
 
-    result.centroids = std::move(centroids);
+    result.centroids = std::move(state.centroids);
   });
 
   streaming_internal::AddPrefetchCounters(ctx.phases, "kmeans",

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -121,16 +123,36 @@ namespace streaming_internal {
 void AddPrefetchCounters(PhaseTimer* phases, const std::string& phase,
                          const io::PrefetchStats& stats);
 
-/// Scores one document body against the fitted model, producing exactly
-/// the row tfidf_internal::BuildScoreRow would have produced: tokenize
-/// (with the context's tokenizer/stemmer), count tf, then per distinct
-/// term look up the sorted vocabulary — absent terms were pruned. The
-/// tf table, pair scratch, and stem buffer are caller-recycled.
+/// The fitted vocabulary as a lookup table, built once per k-means run:
+/// word -> term id, and each term's idf.
+struct TermIndex {
+  explicit TermIndex(const StreamingTfidfModel& model);
+
+  containers::OpenHashMap<std::string, uint32_t> ids;
+  std::vector<double> idf;
+};
+
+/// Per-worker recycled scoring state: a dense tf counter indexed by term
+/// id, the list of ids it touched, (id, score) pairs, a stem buffer and
+/// the output row.
+struct ScoreScratch {
+  explicit ScoreScratch(size_t num_terms) : tf(num_terms, 0) {}
+
+  std::vector<uint32_t> tf;
+  std::vector<uint32_t> touched;
+  std::vector<std::pair<uint32_t, float>> pairs;
+  std::string stem_buf;
+  containers::SparseVector row;
+};
+
+/// Scores one document body against the fitted model into
+/// `scratch.row`, producing exactly the row tfidf_internal::BuildScoreRow
+/// would have produced: tokenize (with the context's tokenizer/stemmer),
+/// look each token up once in `index` — absent words were pruned — and
+/// count by term id, then weight each distinct term and sort by id.
 void ScoreDocument(const ExecContext& ctx, const StreamingTfidfModel& model,
-                   std::string_view body,
-                   containers::OpenHashMap<std::string, uint32_t>& tf,
-                   std::vector<std::pair<uint32_t, float>>& scratch,
-                   std::string& stem_buf, containers::SparseVector& row);
+                   const TermIndex& index, std::string_view body,
+                   ScoreScratch& scratch);
 
 }  // namespace streaming_internal
 

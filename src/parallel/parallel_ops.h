@@ -123,53 +123,6 @@ class WorkerLocal {
   std::vector<T> slots_;
 };
 
-/// Merges a contiguous shard range from all partial sharded dictionaries
-/// into `out`. Shard-major, then partials in slot order — the one merge
-/// order both the serial and the parallel paths use, so their results are
-/// byte-identical. `merge(out_shard, key, value)` folds one entry.
-///
-/// Shared by ParallelShardedMerge (each task gets a disjoint shard range)
-/// and by callers that want the serial ablation path (one call covering
-/// [0, num_shards) under RunSerial).
-template <typename Sharded, typename MergeFn>
-void MergeShardRange(WorkerLocal<Sharded>& partials, Sharded& out,
-                     size_t shard_begin, size_t shard_end, MergeFn merge) {
-  for (size_t s = shard_begin; s < shard_end; ++s) {
-    auto& dst = out.shard(s);
-    for (size_t w = 0; w < partials.size(); ++w) {
-      partials.Get(static_cast<int>(w))
-          .shard(s)
-          .ForEach([&](const auto& key, const auto& value) {
-            merge(dst, key, value);
-          });
-    }
-  }
-}
-
-/// Parallel hash-partitioned merge: the second parallel loop of a sharded
-/// reduction. Every per-worker partial dictionary is partitioned into the
-/// same S shards as `out` (see containers::ShardedDict); shard s of the
-/// result is produced by exactly one task that reads shard s of *all*
-/// partials. Tasks therefore write disjoint shards — race-free by
-/// construction, no locks or atomics — and the merge runs at O(keys / S)
-/// critical path instead of the serial O(keys).
-///
-/// Requirements: `out.num_shards() == partials.Get(w).num_shards()` for
-/// every w, and all dictionaries were populated with the same key routing
-/// (automatic when they are the same ShardedDict instantiation).
-///
-/// Results are independent of the worker count: the shard count is a fixed
-/// property of the container, each shard is merged in slot order, and the
-/// chunking of shards across workers never splits a shard.
-template <typename Sharded, typename MergeFn>
-void ParallelShardedMerge(Executor& exec, WorkerLocal<Sharded>& partials,
-                          Sharded& out, const WorkHint& hint, MergeFn merge) {
-  exec.ParallelFor(0, out.num_shards(), 0, hint,
-                   [&](int /*worker*/, size_t b, size_t e) {
-                     MergeShardRange(partials, out, b, e, merge);
-                   });
-}
-
 /// Flat (barrier-per-round) pairwise tree reduction over the slots of a
 /// WorkerLocal: round r combines pairs at stride 2^r, and every round is one
 /// ParallelFor — all pair-combines of a round must finish before any combine

@@ -169,12 +169,14 @@ ModelHandle::ModelHandle(uint64_t version, ModelConfig config,
       vectorizer_(std::move(vectorizer)),
       centroids_(std::move(centroids)) {
   config_.kind = ModelKind::kKMeans;
-  centroid_sq_norms_.reserve(centroids_.size());
+  std::vector<double> centroid_sq;
+  centroid_sq.reserve(centroids_.size());
   for (const auto& c : centroids_) {
     double sq = 0.0;
     for (float x : c) sq += static_cast<double>(x) * x;
-    centroid_sq_norms_.push_back(sq);
+    centroid_sq.push_back(sq);
   }
+  panel_ = ops::CentroidPanel(centroids_, std::move(centroid_sq));
 }
 
 ModelHandle::ModelHandle(uint64_t version, ModelConfig config,
@@ -200,10 +202,8 @@ uint32_t ModelHandle::Classify(std::string_view body,
     return nb_.Predict(v);
   }
   double best_d = 0.0;
-  // Shared exact-kernel helper — the same scan (and tie-break order) the
-  // K-means assignment step falls back to when a bound test fails.
-  int best = ops::NearestCentroid(v, v.SquaredL2Norm(), centroids_,
-                                  centroid_sq_norms_, &best_d);
+  // The K-means assignment step's own scan and tie-break order.
+  int best = panel_.Nearest(v, v.SquaredL2Norm(), &best_d);
   if (distance_out != nullptr) *distance_out = best_d;
   return static_cast<uint32_t>(best);
 }

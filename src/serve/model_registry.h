@@ -179,9 +179,10 @@ class ModelHandle {
   ModelConfig config_;
   ops::TfidfVectorizer vectorizer_;
   std::vector<std::vector<float>> centroids_;
-  /// ||c||² per centroid, precomputed once (NearestCentroid recomputes
-  /// them per call — at serving rates that is the dominant cost).
-  std::vector<double> centroid_sq_norms_;
+  /// Centroid-major copy of the centroids with their squared norms
+  /// (summed from the floats), built once at load: every Classify is one
+  /// panel scan.
+  ops::CentroidPanel panel_;
   ops::NaiveBayesModel nb_;
 };
 

@@ -1,8 +1,7 @@
 // Tests for the parallel reduction layer: the ShardedDict container, the
-// hash-partitioned ParallelShardedMerge, the pairwise ParallelTreeReduce,
-// and the end-to-end determinism guarantee — word-count results identical
-// across worker counts and across the serial/sharded merge schedules, for
-// every dictionary backend.
+// pairwise ParallelTreeReduce, and the end-to-end determinism guarantee —
+// word-count results identical across worker counts and across the
+// serial/sharded merge schedules, for every dictionary backend.
 
 #include <algorithm>
 #include <cstdint>
@@ -100,89 +99,6 @@ TEST(ShardedDictTest, ReserveSplitsHintWithoutChangingContents) {
   dict.Reserve(10000);
   EXPECT_EQ(dict.size(), 1u);
   EXPECT_EQ(*dict.Find("a"), 1);
-}
-
-// ---------------------------------------------------------------------------
-// ParallelShardedMerge: fixed partials => byte-identical results across
-// merge schedules and across the executor driving the merge.
-// ---------------------------------------------------------------------------
-
-using TestDict = ShardedDictFor<DictBackend::kOpenHash, uint32_t>;
-
-/// Deterministically fills `partials` so that key "k<i>" accrues a known
-/// total across slots.
-void FillPartials(parallel::WorkerLocal<TestDict>& partials, int keys) {
-  for (size_t w = 0; w < partials.size(); ++w) {
-    auto& dict = partials.Get(static_cast<int>(w));
-    for (int i = 0; i < keys; ++i) {
-      if ((i + static_cast<int>(w)) % 3 == 0) continue;  // uneven partials
-      dict.FindOrInsert("k" + std::to_string(i)) +=
-          static_cast<uint32_t>(w + 1);
-    }
-  }
-}
-
-std::vector<std::pair<std::string, uint32_t>> Entries(const TestDict& dict) {
-  std::vector<std::pair<std::string, uint32_t>> out;
-  dict.ForEach([&](const std::string& k, uint32_t v) {
-    out.emplace_back(k, v);
-  });
-  return out;
-}
-
-TEST(ParallelShardedMergeTest, MatchesSerialFoldByteForByte) {
-  parallel::ThreadPoolExecutor exec(4);
-  parallel::WorkerLocal<TestDict> partials(exec);
-  FillPartials(partials, 4000);
-
-  auto merge = [](auto& dst, const std::string& key, uint32_t value) {
-    dst.FindOrInsert(key) += value;
-  };
-
-  TestDict serial_out;
-  parallel::MergeShardRange(partials, serial_out, 0, serial_out.num_shards(),
-                            merge);
-
-  TestDict parallel_out;
-  parallel::ParallelShardedMerge(exec, partials, parallel_out,
-                                 parallel::WorkHint{}, merge);
-
-  // Same partials, same merge order per shard: not just equal contents but
-  // the identical iteration sequence (identical internal structure).
-  EXPECT_EQ(Entries(serial_out), Entries(parallel_out));
-
-  // A different executor driving the merge must not change the result
-  // either — the schedule only decides who merges a shard, never the order
-  // within it.
-  parallel::ThreadPoolExecutor exec2(2);
-  TestDict other_out;
-  parallel::ParallelShardedMerge(exec2, partials, other_out,
-                                 parallel::WorkHint{}, merge);
-  EXPECT_EQ(Entries(serial_out), Entries(other_out));
-}
-
-TEST(ParallelShardedMergeTest, SumsValuesAcrossPartials) {
-  parallel::ThreadPoolExecutor exec(3);
-  parallel::WorkerLocal<TestDict> partials(exec);
-  const int keys = 1000;
-  FillPartials(partials, keys);
-
-  TestDict out;
-  parallel::ParallelShardedMerge(
-      exec, partials, out, parallel::WorkHint{},
-      [](auto& dst, const std::string& key, uint32_t value) {
-        dst.FindOrInsert(key) += value;
-      });
-
-  for (int i = 0; i < keys; ++i) {
-    uint32_t expected = 0;
-    for (uint32_t w = 0; w < 3; ++w) {
-      if ((i + static_cast<int>(w)) % 3 != 0) expected += w + 1;
-    }
-    const uint32_t* got = out.Find("k" + std::to_string(i));
-    ASSERT_NE(got, nullptr) << i;
-    EXPECT_EQ(*got, expected) << i;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -128,9 +128,9 @@ TEST_F(TfidfVectorizerTest, NearestCentroidClassifiesNewDocuments) {
     for (float x : c) sq += static_cast<double>(x) * x;
     centroid_sq.push_back(sq);
   }
+  const CentroidPanel panel(clusters->centroids, std::move(centroid_sq));
   double best_d = 0.0;
-  int cluster = NearestCentroid(fresh, fresh.SquaredL2Norm(),
-                                clusters->centroids, centroid_sq, &best_d);
+  int cluster = panel.Nearest(fresh, fresh.SquaredL2Norm(), &best_d);
   EXPECT_EQ(static_cast<uint32_t>(cluster),
             clusters->assignment[2]);  // d2 = "apple"
 }

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "containers/dictionary.h"
 #include "parallel/parallel_ops.h"
 #include "parallel/thread_pool.h"
 
@@ -97,39 +96,6 @@ TEST(ThreadStressTest, PoolsCanCoexist) {
   });
   EXPECT_EQ(sa.load(), 1500u);
   EXPECT_EQ(sb.load(), 2000u);
-}
-
-TEST(ThreadStressTest, ShardedMergeUnderRealThreads) {
-  // Build per-worker sharded dictionaries inside a real parallel loop, then
-  // merge them with ParallelShardedMerge — the word-count reduction shape.
-  // The shard-ownership invariant (one task per result shard) is what makes
-  // this race-free; run it repeatedly to give TSan/thread bugs a chance.
-  using Dict =
-      containers::ShardedDictFor<containers::DictBackend::kOpenHash,
-                                 uint32_t>;
-  ThreadPoolExecutor exec(4);
-  const size_t n = 20000;
-  const size_t distinct = 5000;
-  for (int round = 0; round < 10; ++round) {
-    WorkerLocal<Dict> partials(exec);
-    exec.ParallelFor(0, n, 0, WorkHint{}, [&](int w, size_t b, size_t e) {
-      auto& dict = partials.Get(w);
-      for (size_t i = b; i < e; ++i) {
-        dict.FindOrInsert("word" + std::to_string(i % distinct)) += 1;
-      }
-    });
-    Dict merged;
-    ParallelShardedMerge(exec, partials, merged, WorkHint{},
-                         [](auto& dst, const std::string& key,
-                            uint32_t value) {
-                           dst.FindOrInsert(key) += value;
-                         });
-    ASSERT_EQ(merged.size(), distinct) << "round " << round;
-    uint64_t total = 0;
-    merged.ForEach([&](const std::string&, uint32_t v) { total += v; });
-    EXPECT_EQ(total, n) << "round " << round;
-    EXPECT_EQ(*merged.Find("word0"), n / distinct) << "round " << round;
-  }
 }
 
 TEST(ThreadStressTest, TreeReduceUnderRealThreads) {
