@@ -1,29 +1,17 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <numeric>
 
 #include "ops/kmeans.h"
 #include "ops/kmeans_internal.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define HPA_PANEL_X86 1
-#endif
 
 namespace hpa::ops {
 
 namespace kmeans_internal {
 
-bool CpuHasAvx2() {
-#ifdef HPA_PANEL_X86
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-void PanelDotsScalar(const float* panel, int k, uint32_t dim,
-                     const containers::SparseVector& row, double* dots) {
+void PanelDots(const float* panel, int k, uint32_t dim,
+               const containers::SparseVector& row, double* dots) {
   std::fill(dots, dots + k, 0.0);
   for (size_t t = 0; t < row.nnz(); ++t) {
     const uint32_t id = row.id_at(t);
@@ -34,95 +22,9 @@ void PanelDotsScalar(const float* panel, int k, uint32_t dim,
   }
 }
 
-#ifdef HPA_PANEL_X86
-
-namespace {
-
-/// acc + v * (4 floats at p, widened): a separate multiply and add, never
-/// a fused multiply-add, so each lane rounds exactly as the scalar loop.
-__attribute__((target("avx2"))) inline __m256d MulAdd4(__m256d acc,
-                                                       __m256d v,
-                                                       const float* p) {
-  return _mm256_add_pd(acc, _mm256_mul_pd(v, _mm256_cvtps_pd(_mm_loadu_ps(p))));
-}
-
-}  // namespace
-
-// Centroids go in blocks of 16 (four 4-lane accumulators held in registers
-// across the whole row), then blocks of 4, then a scalar tail for k % 4.
-// Each centroid still sees the row's nonzeros in order, one product and
-// one addition each, starting from 0.0 — the scalar loop's bits.
-__attribute__((target("avx2"))) void PanelDotsAvx2(
-    const float* panel, int k, uint32_t dim,
-    const containers::SparseVector& row, double* dots) {
-  const size_t nnz = row.nnz();
-  const uint32_t* ids = row.ids().data();
-  const float* values = row.values().data();
-  const size_t stride = static_cast<size_t>(k);
-  int c = 0;
-  for (; c + 16 <= k; c += 16) {
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd();
-    for (size_t t = 0; t < nnz; ++t) {
-      if (ids[t] >= dim) continue;
-      const __m256d v = _mm256_set1_pd(static_cast<double>(values[t]));
-      const float* p = panel + static_cast<size_t>(ids[t]) * stride + c;
-      a0 = MulAdd4(a0, v, p);
-      a1 = MulAdd4(a1, v, p + 4);
-      a2 = MulAdd4(a2, v, p + 8);
-      a3 = MulAdd4(a3, v, p + 12);
-    }
-    _mm256_storeu_pd(dots + c, a0);
-    _mm256_storeu_pd(dots + c + 4, a1);
-    _mm256_storeu_pd(dots + c + 8, a2);
-    _mm256_storeu_pd(dots + c + 12, a3);
-  }
-  for (; c + 4 <= k; c += 4) {
-    __m256d a = _mm256_setzero_pd();
-    for (size_t t = 0; t < nnz; ++t) {
-      if (ids[t] >= dim) continue;
-      const __m256d v = _mm256_set1_pd(static_cast<double>(values[t]));
-      a = MulAdd4(a, v, panel + static_cast<size_t>(ids[t]) * stride + c);
-    }
-    _mm256_storeu_pd(dots + c, a);
-  }
-  for (; c < k; ++c) {
-    double sum = 0.0;
-    for (size_t t = 0; t < nnz; ++t) {
-      if (ids[t] >= dim) continue;
-      sum += static_cast<double>(values[t]) *
-             static_cast<double>(panel[static_cast<size_t>(ids[t]) * stride +
-                                       static_cast<size_t>(c)]);
-    }
-    dots[c] = sum;
-  }
-}
-
-#else
-
-void PanelDotsAvx2(const float* panel, int k, uint32_t dim,
-                   const containers::SparseVector& row, double* dots) {
-  PanelDotsScalar(panel, k, dim, row, dots);
-}
-
-#endif
-
 }  // namespace kmeans_internal
 
 namespace {
-
-using PanelDotsFn = void (*)(const float*, int, uint32_t,
-                             const containers::SparseVector&, double*);
-
-/// The scan twin for this CPU, picked once.
-PanelDotsFn SelectPanelDots() {
-  static const PanelDotsFn fn = kmeans_internal::CpuHasAvx2()
-                                    ? kmeans_internal::PanelDotsAvx2
-                                    : kmeans_internal::PanelDotsScalar;
-  return fn;
-}
 
 /// The longest centroid's length: the panel's term count.
 uint32_t MaxLength(const std::vector<std::vector<float>>& centroids) {
@@ -146,19 +48,41 @@ CentroidPanel::CentroidPanel(const std::vector<std::vector<float>>& centroids,
   sq_ = std::move(centroid_sq);
 }
 
+void CentroidPanel::CopyColumns(
+    const std::vector<std::vector<float>>& centroids,
+    const std::vector<int>& cols, uint32_t lo, uint32_t hi) {
+  // A blocked transpose: a tile's panel rows (kTile * k floats) stay in
+  // cache while each listed centroid's kTile floats are spread across them,
+  // instead of one strided pass over the whole panel per centroid.
+  constexpr uint32_t kTile = 16;
+  const size_t k = static_cast<size_t>(k_);
+  for (uint32_t t0 = lo; t0 < hi; t0 += std::min(kTile, hi - t0)) {
+    const uint32_t t1 = t0 + std::min(kTile, hi - t0);
+    for (int c : cols) {
+      const std::vector<float>& src = centroids[static_cast<size_t>(c)];
+      float* dst = panel_.data() + c;
+      // Terms past a shorter centroid's end are zeros: a zero product adds
+      // nothing to a sum, just as containers::Dot skips those ids.
+      const uint32_t end =
+          static_cast<uint32_t>(std::min<size_t>(t1, src.size()));
+      uint32_t id = t0;
+      for (; id < end; ++id) dst[id * k] = src[id];
+      for (; id < t1; ++id) dst[id * k] = 0.0f;
+    }
+  }
+}
+
 void CentroidPanel::CopyTerms(const std::vector<std::vector<float>>& centroids,
                               uint32_t lo, uint32_t hi) {
-  const size_t k = static_cast<size_t>(k_);
-  for (size_t c = 0; c < k; ++c) {
-    const std::vector<float>& src = centroids[c];
-    float* dst = panel_.data() + c;
-    // Terms past a shorter centroid's end are zeros: a zero product adds
-    // nothing to a sum, just as containers::Dot skips those ids.
-    const uint32_t end =
-        static_cast<uint32_t>(std::min<size_t>(hi, src.size()));
-    for (uint32_t id = lo; id < end; ++id) dst[id * k] = src[id];
-    for (uint32_t id = std::max(lo, end); id < hi; ++id) dst[id * k] = 0.0f;
-  }
+  std::vector<int> all(static_cast<size_t>(k_));
+  std::iota(all.begin(), all.end(), 0);
+  CopyColumns(centroids, all, lo, hi);
+}
+
+void CentroidPanel::CopyCentroids(
+    const std::vector<std::vector<float>>& centroids,
+    const std::vector<int>& cols) {
+  CopyColumns(centroids, cols, 0, dim_);
 }
 
 void CentroidPanel::SetSqNorms(const std::vector<double>& centroid_sq) {
@@ -177,7 +101,7 @@ int CentroidPanel::Nearest(const containers::SparseVector& row, double row_sq,
     heap_dots = std::make_unique<double[]>(static_cast<size_t>(k_));
     dots = heap_dots.get();
   }
-  SelectPanelDots()(panel_.data(), k_, dim_, row, dots);
+  kmeans_internal::PanelDots(panel_.data(), k_, dim_, row, dots);
 
   // containers::SquaredDistance's arithmetic and clamp, then the same
   // lowest-index-wins scan over centroids.

@@ -567,6 +567,20 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
     std::vector<size_t> batch(batch_size);
     std::vector<uint32_t> batch_best(batch_size);
     CentroidPanel panel(k, dim);
+    // A step moves only the centroids its batch rows were assigned to, so
+    // only those panel columns go stale; every column starts stale.
+    std::vector<char> stale(static_cast<size_t>(k), 1);
+    std::vector<int> stale_cols;
+    auto refresh_panel = [&] {
+      stale_cols.clear();
+      for (int c = 0; c < k; ++c) {
+        if (!stale[static_cast<size_t>(c)]) continue;
+        stale_cols.push_back(c);
+        stale[static_cast<size_t>(c)] = 0;
+      }
+      panel.CopyCentroids(centroids, stale_cols);
+      panel.SetSqNorms(centroid_sq);
+    };
     for (int iter = 0; iter < options.max_iterations; ++iter) {
       ++result.iterations;
 
@@ -577,9 +591,8 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
           batch[b] = rng.NextBounded(n);
         }
         // The batch is assigned against this step's centroids before any
-        // of them moves: one panel rebuild, then one scan per batch row.
-        panel.CopyTerms(centroids, 0, dim);
-        panel.SetSqNorms(centroid_sq);
+        // of them moves: refresh the stale columns, then one scan per row.
+        refresh_panel();
         for (size_t b = 0; b < batch_size; ++b) {
           const containers::SparseVector& row = matrix.rows[batch[b]];
           double best_d = 0.0;
@@ -588,6 +601,7 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
         }
         for (size_t b = 0; b < batch_size; ++b) {
           size_t c = batch_best[b];
+          stale[c] = 1;
           counts[c] += 1;
           float eta = 1.0f / static_cast<float>(counts[c]);
           auto& centroid = centroids[c];
@@ -602,10 +616,8 @@ StatusOr<KMeansResult> MiniBatchKMeans(ExecContext& ctx,
     }
 
     // Final full assignment pass: parallel over all documents.
-    ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-init"}, [&] {
-      panel.CopyTerms(centroids, 0, dim);
-      panel.SetSqNorms(centroid_sq);
-    });
+    ctx.executor->RunSerial(parallel::WorkHint{0, "kmeans-init"},
+                            refresh_panel);
     result.assignment.assign(n, 0);
     parallel::WorkerLocal<double> partial_inertia(*ctx.executor);
     parallel::WorkHint hint;

@@ -137,9 +137,7 @@ struct KMeansResult {
 /// in the same nonzero order as containers::Dot (ids >= dim contribute
 /// nothing, as there). The squared norms are never recomputed — K-means
 /// derives them from its double sums, serving from the stored floats, and
-/// each keeps its own bits. On x86 CPUs with AVX2 the scan runs an
-/// intrinsics twin (convert, multiply, add — no fused multiply-add, which
-/// would round differently), chosen once at run time.
+/// each keeps its own bits.
 class CentroidPanel {
  public:
   CentroidPanel() = default;
@@ -159,6 +157,12 @@ class CentroidPanel {
   void CopyTerms(const std::vector<std::vector<float>>& centroids,
                  uint32_t lo, uint32_t hi);
 
+  /// Copies every term of the centroids listed in `cols` (indices into
+  /// `centroids`, the shape the panel was built with) into their panel
+  /// columns; the other columns are untouched.
+  void CopyCentroids(const std::vector<std::vector<float>>& centroids,
+                     const std::vector<int>& cols);
+
   /// Replaces the squared norms (taken unchanged; size k).
   void SetSqNorms(const std::vector<double>& centroid_sq);
 
@@ -170,6 +174,9 @@ class CentroidPanel {
               double* best_d, double* second_d = nullptr) const;
 
  private:
+  void CopyColumns(const std::vector<std::vector<float>>& centroids,
+                   const std::vector<int>& cols, uint32_t lo, uint32_t hi);
+
   int k_ = 0;
   uint32_t dim_ = 0;
   std::vector<float> panel_;

@@ -22,17 +22,11 @@
 
 namespace hpa::ops::kmeans_internal {
 
-/// Whether this CPU runs the AVX2 twin of the panel scan.
-bool CpuHasAvx2();
-
-/// Panel scans behind CentroidPanel::Nearest: dots[c] = sum over the row's
-/// nonzeros (id < dim), in order, of double(value) * double(panel[id*k+c]),
-/// starting from 0.0. The scalar and AVX2 forms give the same bits; the
-/// AVX2 form must only be called when CpuHasAvx2().
-void PanelDotsScalar(const float* panel, int k, uint32_t dim,
-                     const containers::SparseVector& row, double* dots);
-void PanelDotsAvx2(const float* panel, int k, uint32_t dim,
-                   const containers::SparseVector& row, double* dots);
+/// The panel scan behind CentroidPanel::Nearest: dots[c] = sum over the
+/// row's nonzeros (id < dim), in order, of double(value) *
+/// double(panel[id*k+c]), starting from 0.0.
+void PanelDots(const float* panel, int k, uint32_t dim,
+               const containers::SparseVector& row, double* dots);
 
 /// Absolute slack (in distance units; rows are L2-normalized so distances
 /// are O(1)) applied to the skip test and the drift estimates. It absorbs

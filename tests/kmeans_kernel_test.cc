@@ -1,7 +1,6 @@
 // Bit-identity suite for the K-means distance kernel (CentroidPanel) and
-// everything built on it. The scalar and AVX2 panel scans are called
-// directly and compared with containers::Dot / SquaredDistance per
-// centroid; SparseKMeans, MiniBatchKMeans and ModelHandle::Classify must
+// everything built on it. The panel scan is called directly and compared
+// with containers::Dot / SquaredDistance per centroid; SparseKMeans, MiniBatchKMeans and ModelHandle::Classify must
 // reproduce fingerprints pinned from the per-centroid scan that preceded
 // the panel, so a rewrite of the kernel cannot drift. Labelled "kernel"
 // (ctest -L kernel) with TSan and ASan twins.
@@ -137,12 +136,7 @@ void ExpectScanMatchesDot(ScanFn scan) {
 }
 
 TEST(PanelScanTest, ScalarMatchesPerCentroidDot) {
-  ExpectScanMatchesDot(kmeans_internal::PanelDotsScalar);
-}
-
-TEST(PanelScanTest, Avx2MatchesPerCentroidDot) {
-  if (!kmeans_internal::CpuHasAvx2()) GTEST_SKIP() << "CPU lacks AVX2";
-  ExpectScanMatchesDot(kmeans_internal::PanelDotsAvx2);
+  ExpectScanMatchesDot(kmeans_internal::PanelDots);
 }
 
 /// The per-centroid scan the panel replaced: SquaredDistance to each
@@ -227,6 +221,27 @@ TEST(CentroidPanelTest, RangedRebuildEqualsAFreshPanel) {
   panel.SetSqNorms(SqNorms(after));
   const CentroidPanel fresh(after, SqNorms(after));
   for (const SparseVector& row : EdgeRows(5)) {
+    double best_a = 0.0, second_a = 0.0, best_b = 0.0, second_b = 0.0;
+    EXPECT_EQ(panel.Nearest(row, row.SquaredL2Norm(), &best_a, &second_a),
+              fresh.Nearest(row, row.SquaredL2Norm(), &best_b, &second_b));
+    EXPECT_EQ(Bits(best_a), Bits(best_b));
+    EXPECT_EQ(Bits(second_a), Bits(second_b));
+  }
+}
+
+TEST(CentroidPanelTest, CopyingTheMovedCentroidsEqualsAFreshPanel) {
+  // Mini-batch refreshes only the columns a step moved; the columns it
+  // leaves alone must already hold those centroids' terms.
+  const auto before = RandomCentroids(13, kDim, 3);
+  auto after = before;
+  const std::vector<int> moved = {0, 4, 12};
+  const auto replacements = RandomCentroids(13, kDim, 4);
+  for (int c : moved) after[static_cast<size_t>(c)] = replacements[c];
+  CentroidPanel panel(before, SqNorms(before));
+  panel.CopyCentroids(after, moved);
+  panel.SetSqNorms(SqNorms(after));
+  const CentroidPanel fresh(after, SqNorms(after));
+  for (const SparseVector& row : EdgeRows(7)) {
     double best_a = 0.0, second_a = 0.0, best_b = 0.0, second_b = 0.0;
     EXPECT_EQ(panel.Nearest(row, row.SquaredL2Norm(), &best_a, &second_a),
               fresh.Nearest(row, row.SquaredL2Norm(), &best_b, &second_b));
